@@ -23,7 +23,7 @@
 // Phones are configured with variadic options; substrate overrides compose:
 //
 //	phone, _ := eabrowse.New(eabrowse.ModeEnergyAware,
-//	        eabrowse.WithRadioConfig(radio),
+//	        eabrowse.WithRadioModel(radio),
 //	        eabrowse.WithEngineOptions(eabrowse.WithDormancyGuard(0)))
 //
 // The experiment harness behind cmd/eabench is exposed through the
@@ -172,13 +172,6 @@ var (
 	// RadioProfileSpec ("umts", "lte", "nr") or a customized
 	// RadioConfig/LTEConfig/NRConfig value.
 	WithRadioModel = experiments.WithRadioModel
-	// WithRadioConfig overrides the UMTS RRC timers, latencies and Table 5
-	// powers.
-	//
-	// Deprecated: use WithRadioModel — RadioConfig implements
-	// RadioModelSpec, so WithRadioModel(cfg) is a drop-in replacement that
-	// also accepts the LTE and NR backends.
-	WithRadioConfig = experiments.WithRadioConfig
 	// WithLinkConfig overrides the radio-link bandwidth and RTT parameters.
 	WithLinkConfig = experiments.WithLinkConfig
 	// WithCostModel overrides the browser CPU cost model.
@@ -240,10 +233,8 @@ func SetParallelism(n int) { runner.SetWorkers(n) }
 func Parallelism() int { return runner.Workers() }
 
 // DefaultRadioConfig returns the calibrated UMTS parameters (Table 5 powers,
-// T1 = 4 s, T2 = 15 s, Fig. 3 crossover at 9 s).
-//
-// Deprecated: use RadioProfileSpec("umts") (or keep this when you need the
-// concrete RadioConfig to tweak timers; it still implements RadioModelSpec).
+// T1 = 4 s, T2 = 15 s, Fig. 3 crossover at 9 s) as a concrete RadioConfig
+// whose timers can be tweaked before passing it to WithRadioModel.
 func DefaultRadioConfig() RadioConfig { return rrc.DefaultConfig() }
 
 // RadioProfiles lists the registered radio backends ("lte", "nr", "umts"),
@@ -369,23 +360,6 @@ func New(mode Mode, opts ...PhoneOption) (*Phone, error) {
 		return nil, err
 	}
 	return &Phone{session: s}, nil
-}
-
-// NewPhone creates a phone with default substrate parameters.
-//
-// Deprecated: use New; engine options go through WithEngineOptions.
-func NewPhone(mode Mode, opts ...EngineOption) (*Phone, error) {
-	return New(mode, WithEngineOptions(opts...))
-}
-
-// NewPhoneWithConfig creates a phone with explicit substrate parameters.
-//
-// Deprecated: use New with WithRadioConfig, WithLinkConfig and
-// WithCostModel.
-func NewPhoneWithConfig(mode Mode, radio RadioConfig, link LinkConfig,
-	cost CostModel, opts ...EngineOption) (*Phone, error) {
-	return New(mode, WithRadioConfig(radio), WithLinkConfig(link),
-		WithCostModel(cost), WithEngineOptions(opts...))
 }
 
 // LoadPage loads a page to its final display and returns the load result.

@@ -15,9 +15,9 @@ func TestPhoneLoadsBothPipelines(t *testing.T) {
 	}
 	energies := make(map[Mode]float64)
 	for _, mode := range []Mode{ModeOriginal, ModeEnergyAware} {
-		phone, err := NewPhone(mode)
+		phone, err := New(mode)
 		if err != nil {
-			t.Fatalf("NewPhone: %v", err)
+			t.Fatalf("New: %v", err)
 		}
 		res, err := phone.LoadPage(page)
 		if err != nil {
@@ -40,9 +40,9 @@ func TestPhoneRadioStateVisible(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MCNNPage: %v", err)
 	}
-	phone, err := NewPhone(ModeEnergyAware)
+	phone, err := New(ModeEnergyAware)
 	if err != nil {
-		t.Fatalf("NewPhone: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	if phone.RadioState() != RadioIdle {
 		t.Fatalf("fresh phone radio = %v, want IDLE", phone.RadioState())
@@ -63,9 +63,9 @@ func TestPhoneWithCustomConfig(t *testing.T) {
 	}
 	radio := DefaultRadioConfig()
 	radio.T1 = 2 * time.Second
-	phone, err := NewPhoneWithConfig(ModeOriginal, radio, DefaultLinkConfig(), DefaultCostModel())
+	phone, err := New(ModeOriginal, WithRadioModel(radio))
 	if err != nil {
-		t.Fatalf("NewPhoneWithConfig: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	if _, err := phone.LoadPage(page); err != nil {
 		t.Fatalf("LoadPage: %v", err)
@@ -81,9 +81,9 @@ func TestPhoneForceRadioIdle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MCNNPage: %v", err)
 	}
-	phone, err := NewPhone(ModeOriginal)
+	phone, err := New(ModeOriginal)
 	if err != nil {
-		t.Fatalf("NewPhone: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	if _, err := phone.LoadPage(page); err != nil {
 		t.Fatalf("LoadPage: %v", err)
@@ -108,9 +108,9 @@ func TestGeneratePageAndFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GeneratePage: %v", err)
 	}
-	phone, err := NewPhone(ModeEnergyAware)
+	phone, err := New(ModeEnergyAware)
 	if err != nil {
-		t.Fatalf("NewPhone: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	res, err := phone.LoadPage(page)
 	if err != nil {
@@ -183,31 +183,6 @@ func TestTraceAndPredictorAPI(t *testing.T) {
 	}
 	if acc.Pct() < 50 {
 		t.Fatalf("accuracy %.1f%% below coin flip", acc.Pct())
-	}
-}
-
-func TestOptionConstructorEquivalence(t *testing.T) {
-	page, err := MCNNPage()
-	if err != nil {
-		t.Fatalf("MCNNPage: %v", err)
-	}
-	radio := DefaultRadioConfig()
-	radio.T1 = 2 * time.Second
-	load := func(phone *Phone, err error) float64 {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("constructor: %v", err)
-		}
-		if _, err := phone.LoadPage(page); err != nil {
-			t.Fatalf("LoadPage: %v", err)
-		}
-		phone.Read(10 * time.Second)
-		return phone.EnergyJ()
-	}
-	viaOptions := load(New(ModeOriginal, WithRadioConfig(radio)))
-	viaDeprecated := load(NewPhoneWithConfig(ModeOriginal, radio, DefaultLinkConfig(), DefaultCostModel()))
-	if viaOptions != viaDeprecated {
-		t.Errorf("New+options = %.6f J, NewPhoneWithConfig = %.6f J", viaOptions, viaDeprecated)
 	}
 }
 

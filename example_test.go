@@ -15,7 +15,7 @@ func ExamplePhone() {
 		fmt.Println("generate:", err)
 		return
 	}
-	phone, err := eabrowse.NewPhone(eabrowse.ModeEnergyAware)
+	phone, err := eabrowse.New(eabrowse.ModeEnergyAware)
 	if err != nil {
 		fmt.Println("phone:", err)
 		return

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
-
-	"eabrowse/internal/simtime"
 )
 
 // Config parameterizes the queueing model (Section 5.4's values).
@@ -67,56 +65,14 @@ type Result struct {
 // serviceTimes distribution (seconds) — in the paper, the measured per-page
 // data-transmission times of the pipeline under test.
 func Simulate(users int, serviceTimes []float64, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkRun(users, cfg); err != nil {
 		return Result{}, err
 	}
-	if users <= 0 {
-		return Result{}, errors.New("capacity: need at least one user")
+	smp, err := newUniformSampler(serviceTimes)
+	if err != nil {
+		return Result{}, err
 	}
-	if len(serviceTimes) == 0 {
-		return Result{}, errors.New("capacity: empty service-time distribution")
-	}
-	for _, s := range serviceTimes {
-		if s <= 0 {
-			return Result{}, fmt.Errorf("capacity: non-positive service time %v", s)
-		}
-	}
-
-	clock := simtime.NewClock()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	res := Result{Users: users}
-	busy := 0
-
-	sample := func() time.Duration {
-		return time.Duration(serviceTimes[rng.Intn(len(serviceTimes))] * float64(time.Second))
-	}
-	nextArrival := func() time.Duration {
-		return time.Duration(rng.ExpFloat64() * float64(cfg.MeanSessionInterval))
-	}
-
-	var arrive func()
-	arrive = func() {
-		res.Offered++
-		if busy >= cfg.Channels {
-			res.Dropped++
-		} else {
-			busy++
-			if busy > res.MaxBusy {
-				res.MaxBusy = busy
-			}
-			clock.After(sample(), func() { busy-- })
-		}
-		clock.After(nextArrival(), arrive)
-	}
-	for u := 0; u < users; u++ {
-		clock.After(nextArrival(), arrive)
-	}
-	clock.RunUntil(cfg.Duration)
-
-	if res.Offered > 0 {
-		res.DropPercent = float64(res.Dropped) / float64(res.Offered) * 100
-	}
-	return res, nil
+	return simulate(users, smp, cfg), nil
 }
 
 // Sweep runs Simulate for each user count and returns the results in order.
@@ -135,20 +91,175 @@ func Sweep(userCounts []int, serviceTimes []float64, cfg Config) ([]Result, erro
 // SupportedUsers finds (by bisection) the largest user population whose
 // session-dropping probability stays at or below maxDropPercent.
 func SupportedUsers(serviceTimes []float64, maxDropPercent float64, cfg Config) (int, error) {
-	if maxDropPercent <= 0 || maxDropPercent >= 100 {
-		return 0, fmt.Errorf("capacity: drop target %v%% out of (0,100)", maxDropPercent)
+	if err := checkTarget(maxDropPercent, cfg); err != nil {
+		return 0, err
 	}
-	lo := 1
-	hi := 1
-	// Grow until the target is exceeded.
-	for {
-		r, err := Simulate(hi, serviceTimes, cfg)
-		if err != nil {
-			return 0, err
+	smp, err := newUniformSampler(serviceTimes)
+	if err != nil {
+		return 0, err
+	}
+	return supportedUsers(smp, maxDropPercent, cfg)
+}
+
+// checkRun validates the inputs every simulation shares.
+func checkRun(users int, cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if users <= 0 {
+		return errors.New("capacity: need at least one user")
+	}
+	return nil
+}
+
+// checkTarget validates the inputs every capacity search shares.
+func checkTarget(maxDropPercent float64, cfg Config) error {
+	if maxDropPercent <= 0 || maxDropPercent >= 100 {
+		return fmt.Errorf("capacity: drop target %v%% out of (0,100)", maxDropPercent)
+	}
+	return cfg.Validate()
+}
+
+// serviceSampler draws one service time (seconds) per accepted session.
+type serviceSampler interface {
+	draw(rng *rand.Rand) float64
+}
+
+// uniformSampler draws each observed service time with equal probability, by
+// index. Fig. 11's golden output pins this exact draw (one Intn per accepted
+// session), so it is not folded into the weighted distSampler, whose Int63n
+// consumes the rng differently.
+type uniformSampler []float64
+
+func newUniformSampler(serviceTimes []float64) (uniformSampler, error) {
+	if len(serviceTimes) == 0 {
+		return nil, errors.New("capacity: empty service-time distribution")
+	}
+	for _, s := range serviceTimes {
+		if s <= 0 {
+			return nil, fmt.Errorf("capacity: non-positive service time %v", s)
 		}
-		if r.DropPercent > maxDropPercent {
+	}
+	return uniformSampler(serviceTimes), nil
+}
+
+func (s uniformSampler) draw(rng *rand.Rand) float64 { return s[rng.Intn(len(s))] }
+
+// event is one entry of simulate's event heap: an arrival or departure at
+// simulated time at, ordered by (at, seq) exactly as simtime.Clock orders its
+// queue, so the loop replays the event sequence of the closure-per-arrival
+// formulation kept as the test oracle.
+type event struct {
+	at  time.Duration
+	seq uint64
+	dep bool
+}
+
+// eventHeap is a min-heap of events by (at, seq). It is hand-rolled (as
+// simtime's is) so push/pop touch only the preallocated backing slice and a
+// run allocates nothing per event.
+type eventHeap []event
+
+func (h eventHeap) less(a, b int) bool {
+	if h[a].at != h[b].at {
+		return h[a].at < h[b].at
+	}
+	return h[a].seq < h[b].seq
+}
+
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
 			break
 		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+	*h = q
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < len(q) && q.less(l, m) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(q) && q.less(r, m) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
+}
+
+// simulate is the one Erlang-loss event loop behind Simulate and
+// SimulateDist; inputs are already validated. Its rng draw order is a
+// contract: a service draw then a next-arrival draw on accepted arrivals, a
+// next-arrival draw alone on drops, with simtime's (at, seq) tie order and
+// deadline-inclusive cutoff.
+func simulate[S serviceSampler](users int, smp S, cfg Config) Result {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	res := Result{Users: users}
+	busy := 0
+
+	// Each user always has exactly one pending arrival; at most Channels
+	// departures are in flight — so the heap never outgrows this.
+	h := make(eventHeap, 0, users+cfg.Channels)
+	var seq uint64
+	schedule := func(now, d time.Duration, dep bool) {
+		if d < 0 {
+			d = 0 // simtime.After clamps the same way
+		}
+		h.push(event{at: now + d, seq: seq, dep: dep})
+		seq++
+	}
+	interval := float64(cfg.MeanSessionInterval)
+	for u := 0; u < users; u++ {
+		schedule(0, time.Duration(rng.ExpFloat64()*interval), false)
+	}
+	for len(h) > 0 && h[0].at <= cfg.Duration {
+		ev := h.pop()
+		if ev.dep {
+			busy--
+			continue
+		}
+		res.Offered++
+		if busy >= cfg.Channels {
+			res.Dropped++
+		} else {
+			busy++
+			if busy > res.MaxBusy {
+				res.MaxBusy = busy
+			}
+			schedule(ev.at, time.Duration(smp.draw(rng)*float64(time.Second)), true)
+		}
+		schedule(ev.at, time.Duration(rng.ExpFloat64()*interval), false)
+	}
+
+	if res.Offered > 0 {
+		res.DropPercent = float64(res.Dropped) / float64(res.Offered) * 100
+	}
+	return res
+}
+
+// supportedUsers is the one capacity search behind SupportedUsers and
+// SupportedUsersDist: double the population until the drop target is
+// exceeded, then bisect. Inputs are already validated.
+func supportedUsers[S serviceSampler](smp S, maxDropPercent float64, cfg Config) (int, error) {
+	lo, hi := 1, 1
+	for simulate(hi, smp, cfg).DropPercent <= maxDropPercent {
 		lo = hi
 		hi *= 2
 		if hi > 1<<20 {
@@ -157,11 +268,7 @@ func SupportedUsers(serviceTimes []float64, maxDropPercent float64, cfg Config) 
 	}
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
-		r, err := Simulate(mid, serviceTimes, cfg)
-		if err != nil {
-			return 0, err
-		}
-		if r.DropPercent > maxDropPercent {
+		if simulate(mid, smp, cfg).DropPercent > maxDropPercent {
 			hi = mid
 		} else {
 			lo = mid

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 )
 
 // Dist is an empirical service-time distribution in compressed form: each
@@ -74,25 +73,28 @@ func (d *Dist) Mean() float64 {
 	return d.Sum() / float64(d.total)
 }
 
-// sampler draws values with probability proportional to their counts via a
-// cumulative-count table and one Int63n per draw.
-type sampler struct {
+// distSampler draws values with probability proportional to their counts via
+// a cumulative-count table and one Int63n per draw.
+type distSampler struct {
 	values []float64
 	cum    []int64
 	total  int64
 }
 
-func newSampler(d *Dist) sampler {
+func newDistSampler(d *Dist) (distSampler, error) {
+	if d == nil || d.total == 0 {
+		return distSampler{}, errors.New("capacity: empty service-time distribution")
+	}
 	cum := make([]int64, len(d.counts))
 	var run int64
 	for i, c := range d.counts {
 		run += c
 		cum[i] = run
 	}
-	return sampler{values: d.values, cum: cum, total: run}
+	return distSampler{values: d.values, cum: cum, total: run}, nil
 }
 
-func (s *sampler) draw(rng *rand.Rand) float64 {
+func (s distSampler) draw(rng *rand.Rand) float64 {
 	target := rng.Int63n(s.total)
 	lo, hi := 0, len(s.cum)-1
 	for lo < hi {
@@ -106,130 +108,18 @@ func (s *sampler) draw(rng *rand.Rand) float64 {
 	return s.values[lo]
 }
 
-// distEvent is one entry of SimulateDist's inline event heap: an arrival or
-// departure at simulated time at, ordered by (at, seq) exactly as
-// simtime.Clock orders its queue, so the fast loop replays the identical
-// event sequence.
-type distEvent struct {
-	at  time.Duration
-	seq uint64
-	dep bool
-}
-
-// distHeap is a min-heap of events by (at, seq). It is hand-rolled (as
-// simtime's is) so push/pop touch only the preallocated backing slice — the
-// closure-based Clock version allocated two closures plus a queue entry per
-// arrival, which dominated the fleet's capacity phase at 100k+ users.
-type distHeap []distEvent
-
-func (h distHeap) less(a, b int) bool {
-	if h[a].at != h[b].at {
-		return h[a].at < h[b].at
-	}
-	return h[a].seq < h[b].seq
-}
-
-func (h *distHeap) push(e distEvent) {
-	q := append(*h, e)
-	for i := len(q) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !q.less(i, p) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-	*h = q
-}
-
-func (h *distHeap) pop() distEvent {
-	q := *h
-	top := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q = q[:last]
-	for i := 0; ; {
-		m := i
-		if l := 2*i + 1; l < len(q) && q.less(l, m) {
-			m = l
-		}
-		if r := 2*i + 2; r < len(q) && q.less(r, m) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		q[i], q[m] = q[m], q[i]
-		i = m
-	}
-	*h = q
-	return top
-}
-
-// SimulateDist is Simulate over a weighted service-time distribution. It is
-// a separate entry point rather than a change to Simulate because the two
-// draw from their rng differently (index vs. cumulative weight), and
-// Simulate's exact draw sequence is pinned by the Fig. 11 golden output.
-//
-// The event loop is an inlined allocation-free replica of the
-// simtime.Clock-based formulation (preserved as simulateDistReference in the
-// test suite, which pins bit-identity): same rng draw order — service draw
-// then next-arrival draw on accepted arrivals, next-arrival draw alone on
-// drops — same (at, seq) tie order, same deadline-inclusive cutoff.
+// SimulateDist is Simulate over a weighted service-time distribution. Both
+// run the same event loop; only the service-time draw differs (cumulative
+// weight here, slice index there).
 func SimulateDist(users int, d *Dist, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkRun(users, cfg); err != nil {
 		return Result{}, err
 	}
-	if users <= 0 {
-		return Result{}, errors.New("capacity: need at least one user")
+	smp, err := newDistSampler(d)
+	if err != nil {
+		return Result{}, err
 	}
-	if d == nil || d.total == 0 {
-		return Result{}, errors.New("capacity: empty service-time distribution")
-	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	res := Result{Users: users}
-	busy := 0
-	smp := newSampler(d)
-
-	// Each user always has exactly one pending arrival; at most Channels
-	// departures are in flight — so the heap never outgrows this.
-	h := make(distHeap, 0, users+cfg.Channels)
-	var seq uint64
-	schedule := func(now, d time.Duration, dep bool) {
-		if d < 0 {
-			d = 0 // simtime.After clamps the same way
-		}
-		h.push(distEvent{at: now + d, seq: seq, dep: dep})
-		seq++
-	}
-	interval := float64(cfg.MeanSessionInterval)
-	for u := 0; u < users; u++ {
-		schedule(0, time.Duration(rng.ExpFloat64()*interval), false)
-	}
-	for len(h) > 0 && h[0].at <= cfg.Duration {
-		ev := h.pop()
-		if ev.dep {
-			busy--
-			continue
-		}
-		res.Offered++
-		if busy >= cfg.Channels {
-			res.Dropped++
-		} else {
-			busy++
-			if busy > res.MaxBusy {
-				res.MaxBusy = busy
-			}
-			schedule(ev.at, time.Duration(smp.draw(rng)*float64(time.Second)), true)
-		}
-		schedule(ev.at, time.Duration(rng.ExpFloat64()*interval), false)
-	}
-
-	if res.Offered > 0 {
-		res.DropPercent = float64(res.Dropped) / float64(res.Offered) * 100
-	}
-	return res, nil
+	return simulate(users, smp, cfg), nil
 }
 
 // MaxSimulatedFleet is the largest population DropPercentAt walks
@@ -266,36 +156,12 @@ func DropPercentAt(users int, d *Dist, cfg Config) (float64, error) {
 // dropping probability stays at or below maxDropPercent, drawing service
 // times from the weighted distribution.
 func SupportedUsersDist(d *Dist, maxDropPercent float64, cfg Config) (int, error) {
-	if maxDropPercent <= 0 || maxDropPercent >= 100 {
-		return 0, fmt.Errorf("capacity: drop target %v%% out of (0,100)", maxDropPercent)
+	if err := checkTarget(maxDropPercent, cfg); err != nil {
+		return 0, err
 	}
-	lo := 1
-	hi := 1
-	for {
-		r, err := SimulateDist(hi, d, cfg)
-		if err != nil {
-			return 0, err
-		}
-		if r.DropPercent > maxDropPercent {
-			break
-		}
-		lo = hi
-		hi *= 2
-		if hi > 1<<20 {
-			return 0, errors.New("capacity: target never exceeded (degenerate service times)")
-		}
+	smp, err := newDistSampler(d)
+	if err != nil {
+		return 0, err
 	}
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		r, err := SimulateDist(mid, d, cfg)
-		if err != nil {
-			return 0, err
-		}
-		if r.DropPercent > maxDropPercent {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return lo, nil
+	return supportedUsers(smp, maxDropPercent, cfg)
 }

@@ -3,7 +3,6 @@ package capacity
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErlangB returns the analytic blocking probability of an M/G/N/N loss
@@ -51,65 +50,4 @@ func (c Config) AnalyticDropPercent(users int, meanServiceS float64) (float64, e
 		return 0, err
 	}
 	return b * 100, nil
-}
-
-// AnalyticSupportedUsers inverts AnalyticDropPercent by bisection: the
-// largest population whose analytic blocking stays at or below
-// maxDropPercent.
-func (c Config) AnalyticSupportedUsers(meanServiceS float64, maxDropPercent float64) (int, error) {
-	if meanServiceS <= 0 {
-		return 0, errors.New("capacity: non-positive service time")
-	}
-	if maxDropPercent <= 0 || maxDropPercent >= 100 {
-		return 0, fmt.Errorf("capacity: drop target %v%% out of (0,100)", maxDropPercent)
-	}
-	lo, hi := 1, 2
-	for {
-		drop, err := c.AnalyticDropPercent(hi, meanServiceS)
-		if err != nil {
-			return 0, err
-		}
-		if drop > maxDropPercent {
-			break
-		}
-		lo = hi
-		hi *= 2
-		if hi > 1<<24 {
-			return 0, errors.New("capacity: blocking target never exceeded")
-		}
-	}
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		drop, err := c.AnalyticDropPercent(mid, meanServiceS)
-		if err != nil {
-			return 0, err
-		}
-		if drop > maxDropPercent {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return lo, nil
-}
-
-// ValidateAgainstAnalytic runs the simulation and compares its dropping
-// probability with Erlang B, returning both and their absolute difference in
-// percentage points. Used by tests and by operators sanity-checking a
-// configuration.
-func ValidateAgainstAnalytic(users int, serviceTimes []float64, cfg Config) (simPct, analyticPct, diff float64, err error) {
-	res, err := Simulate(users, serviceTimes, cfg)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	mean := 0.0
-	for _, s := range serviceTimes {
-		mean += s
-	}
-	mean /= float64(len(serviceTimes))
-	analytic, err := cfg.AnalyticDropPercent(users, mean)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return res.DropPercent, analytic, math.Abs(res.DropPercent - analytic), nil
 }

@@ -61,7 +61,7 @@ func Ablations() (*AblationResult, error) {
 	// the deltas afterwards, once the index-0 baseline is known.
 	rows, err := runner.Collect(len(variants), func(i int) (AblationRow, error) {
 		v := variants[i]
-		s, err := New(v.mode, WithRadioConfig(v.radio), WithEngineOptions(v.opts...))
+		s, err := New(v.mode, WithRadioModel(v.radio), WithEngineOptions(v.opts...))
 		if err != nil {
 			return AblationRow{}, err
 		}

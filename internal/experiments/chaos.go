@@ -92,15 +92,6 @@ func chaosLossGrid(maxLoss float64) []float64 {
 	return append(grid, maxLoss)
 }
 
-// NewFaultySession builds a phone whose link and RIL daemon are impaired by
-// the given fault config; the engine routes dormancy through the RIL, so the
-// whole Section 4.4 path is exercised under impairment.
-//
-// Deprecated: use New with WithFaultInjector.
-func NewFaultySession(mode browser.Mode, cfg faults.Config, opts ...browser.Option) (*Session, error) {
-	return New(mode, WithFaultInjector(cfg), WithEngineOptions(opts...))
-}
-
 // ChaosSweep runs the chaos experiment: both benchmarks, both pipelines, at
 // every loss rate of the grid up to maxLoss, on top of the given background
 // profile. Everything is seeded, so two sweeps with equal inputs are

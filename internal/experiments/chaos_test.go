@@ -111,12 +111,12 @@ func TestChaosZeroRatesSeedIndependent(t *testing.T) {
 	}
 }
 
-// TestNewFaultySessionWiring: the faulty constructor must expose the shared
-// injector and the RIL endpoint so callers can inspect them.
+// TestNewFaultySessionWiring: a session built with WithFaultInjector must
+// expose the shared injector and the RIL endpoint so callers can inspect them.
 func TestNewFaultySessionWiring(t *testing.T) {
-	s, err := NewFaultySession(browser.ModeEnergyAware, faults.Config{Seed: 9, FailRate: 0.1})
+	s, err := New(browser.ModeEnergyAware, WithFaultInjector(faults.Config{Seed: 9, FailRate: 0.1}))
 	if err != nil {
-		t.Fatalf("NewFaultySession: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	if s.RIL == nil || s.Faults == nil {
 		t.Fatal("RIL or Faults not exposed on the session")
@@ -127,7 +127,7 @@ func TestNewFaultySessionWiring(t *testing.T) {
 	if !s.Link.FaultsActive() {
 		t.Fatal("link does not report the injector")
 	}
-	if _, err := NewFaultySession(browser.ModeEnergyAware, faults.Config{FailRate: -1}); err == nil {
+	if _, err := New(browser.ModeEnergyAware, WithFaultInjector(faults.Config{FailRate: -1})); err == nil {
 		t.Fatal("invalid fault config accepted")
 	}
 }

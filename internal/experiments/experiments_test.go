@@ -10,7 +10,7 @@ import (
 )
 
 func TestSessionValidation(t *testing.T) {
-	if _, err := NewSession(browser.Mode(0)); err == nil {
+	if _, err := New(browser.Mode(0)); err == nil {
 		t.Fatal("invalid mode accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"eabrowse/internal/browser"
 	"eabrowse/internal/runner"
 )
 
@@ -155,30 +154,5 @@ func TestBenchmarkPagesFreshSlice(t *testing.T) {
 	}
 	if len(a) != len(b) || a[0] != b[0] || a[len(a)-1] != b[len(b)-1] {
 		t.Fatal("BenchmarkPages contents diverged between calls")
-	}
-}
-
-// TestSessionOptionEquivalence checks that the deprecated constructors and
-// the option form build identical phones (same load outcome).
-func TestSessionOptionEquivalence(t *testing.T) {
-	page, err := ESPNPage()
-	if err != nil {
-		t.Fatalf("ESPNPage: %v", err)
-	}
-	load := func(s *Session, err error) float64 {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("constructor: %v", err)
-		}
-		r, err := s.LoadToEnd(page)
-		if err != nil {
-			t.Fatalf("LoadToEnd: %v", err)
-		}
-		return s.Radio.EnergyJ() + r.CPUEnergyJ
-	}
-	viaOptions := load(New(browser.ModeEnergyAware))
-	viaDeprecated := load(NewSession(browser.ModeEnergyAware))
-	if viaOptions != viaDeprecated {
-		t.Errorf("New = %.6f J, NewSession = %.6f J", viaOptions, viaDeprecated)
 	}
 }

@@ -145,7 +145,7 @@ func TestResetAfterFaultyVisit(t *testing.T) {
 		RILTimeoutRate: 0.6,
 		RILErrorRate:   0.3,
 	}
-	dirty, err := NewFaultySession(browser.ModeEnergyAware, cfg)
+	dirty, err := New(browser.ModeEnergyAware, WithFaultInjector(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestResetAfterFaultyVisit(t *testing.T) {
 	}
 	dirty.Reset()
 
-	fresh, err := NewFaultySession(browser.ModeEnergyAware, cfg)
+	fresh, err := New(browser.ModeEnergyAware, WithFaultInjector(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ type SessionOption func(*sessionConfig)
 var defaultRadioSpec atomic.Value // stores *rrc.ModelSpec
 
 // SetDefaultRadioProfile selects the radio backend sessions use when built
-// without an explicit WithRadioModel/WithRadioConfig option. Unknown names
+// without an explicit WithRadioModel option. Unknown names
 // fail with the valid-profile list.
 func SetDefaultRadioProfile(name string) error {
 	spec, err := rrc.ProfileSpec(name)
@@ -102,15 +102,6 @@ func DefaultRadioSpec() rrc.ModelSpec {
 // rrc.ProfileSpec("lte").
 func WithRadioModel(spec rrc.ModelSpec) SessionOption {
 	return func(c *sessionConfig) { c.radio = spec }
-}
-
-// WithRadioConfig overrides the RRC timers, latencies and per-state powers
-// of the UMTS backend.
-//
-// Deprecated: use WithRadioModel, which accepts any backend; rrc.Config is
-// itself a ModelSpec, so WithRadioModel(cfg) is the direct replacement.
-func WithRadioConfig(cfg rrc.Config) SessionOption {
-	return WithRadioModel(cfg)
 }
 
 // WithLinkConfig overrides the radio-link bandwidth and RTT parameters.
@@ -165,7 +156,7 @@ func WithObsRecorder(r *obs.Recorder) SessionOption {
 // given mode — from the calibrated defaults, adjusted by options:
 //
 //	s, err := experiments.New(browser.ModeEnergyAware,
-//	        experiments.WithRadioConfig(radio),
+//	        experiments.WithRadioModel(radio),
 //	        experiments.WithFaultInjector(profile),
 //	        experiments.WithEngineOptions(browser.WithDormancyGuard(0)))
 //
@@ -242,24 +233,6 @@ func New(mode browser.Mode, opts ...SessionOption) (*Session, error) {
 	}
 	s.Engine = engine
 	return s, nil
-}
-
-// NewSession builds a fresh phone with default radio/link parameters and a
-// browser in the given mode.
-//
-// Deprecated: use New; engine options go through WithEngineOptions.
-func NewSession(mode browser.Mode, opts ...browser.Option) (*Session, error) {
-	return New(mode, WithEngineOptions(opts...))
-}
-
-// NewSessionWithConfig builds a phone with explicit substrate parameters.
-//
-// Deprecated: use New with WithRadioConfig, WithLinkConfig and
-// WithCostModel.
-func NewSessionWithConfig(mode browser.Mode, radioCfg rrc.Config,
-	linkCfg netsim.Config, cost browser.CostModel, opts ...browser.Option) (*Session, error) {
-	return New(mode, WithRadioConfig(radioCfg), WithLinkConfig(linkCfg),
-		WithCostModel(cost), WithEngineOptions(opts...))
 }
 
 // LoadToEnd loads one page and runs the simulation until the final display.

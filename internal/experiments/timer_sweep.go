@@ -52,7 +52,7 @@ func TimerSweep() (*TimerSweepResult, error) {
 		cfg := rrc.DefaultConfig()
 		cfg.T1 = t1
 		cfg.T2 = t2
-		s, err := New(browser.ModeOriginal, WithRadioConfig(cfg))
+		s, err := New(browser.ModeOriginal, WithRadioModel(cfg))
 		if err != nil {
 			return TimerSweepRow{}, err
 		}

@@ -63,44 +63,56 @@ func TestCaseString(t *testing.T) {
 	}
 }
 
+// UMTS tail stages by index in rrc.Config.Tail(): the active stage, the one
+// timer-driven intermediate stage, then the terminal stage.
+const (
+	stageDCH  = 0
+	stageFACH = 1
+	stageIdle = 2
+)
+
 func TestStateAfter(t *testing.T) {
-	cfg := rrc.DefaultConfig()
+	tail := rrc.DefaultConfig().Tail()
+	if tail.TerminalIndex() != stageIdle {
+		t.Fatalf("UMTS terminal stage = %d, want %d", tail.TerminalIndex(), stageIdle)
+	}
 	tests := []struct {
 		elapsed float64
-		want    TailState
+		want    int
 	}{
-		{0, TailDCH},
-		{3.9, TailDCH},
-		{4.1, TailFACH},
-		{18.9, TailFACH},
-		{19.1, TailIdle},
-		{1000, TailIdle},
+		{0, stageDCH},
+		{3.9, stageDCH},
+		{4.1, stageFACH},
+		{18.9, stageFACH},
+		{19.1, stageIdle},
+		{1000, stageIdle},
 	}
 	for _, tt := range tests {
-		if got := stateAfter(cfg, tt.elapsed); got != tt.want {
-			t.Fatalf("stateAfter(%v) = %v, want %v", tt.elapsed, got, tt.want)
+		if got := stageAfter(&tail, tt.elapsed); got != tt.want {
+			t.Fatalf("stageAfter(%v) = %v, want %v", tt.elapsed, got, tt.want)
 		}
 	}
 }
 
 func TestTailEnergyPiecewise(t *testing.T) {
 	cfg := rrc.DefaultConfig()
+	tail := cfg.Tail()
 	// Entire window in DCH.
-	if got, want := tailEnergyJ(cfg, 0, 2), 2*cfg.PowerDCHIdle; math.Abs(got-want) > 1e-9 {
+	if got, want := tailEnergy(&tail, 0, 2), 2*cfg.PowerDCHIdle; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("DCH window = %v, want %v", got, want)
 	}
 	// Spanning DCH → FACH → idle: 4 s DCH + 15 s FACH + 1 s idle.
 	want := 4*cfg.PowerDCHIdle + 15*cfg.PowerFACH + 1*cfg.PowerIdle
-	if got := tailEnergyJ(cfg, 0, 20); math.Abs(got-want) > 1e-9 {
+	if got := tailEnergy(&tail, 0, 20); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("20s window = %v, want %v", got, want)
 	}
 	// Starting mid-FACH.
 	want = 10*cfg.PowerFACH + 5*cfg.PowerIdle
-	if got := tailEnergyJ(cfg, 9, 15); math.Abs(got-want) > 1e-9 {
+	if got := tailEnergy(&tail, 9, 15); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("mid-FACH window = %v, want %v", got, want)
 	}
 	// Zero/negative duration.
-	if tailEnergyJ(cfg, 5, 0) != 0 || tailEnergyJ(cfg, 5, -3) != 0 {
+	if tailEnergy(&tail, 5, 0) != 0 || tailEnergy(&tail, 5, -3) != 0 {
 		t.Fatal("empty window has energy")
 	}
 }
@@ -109,6 +121,7 @@ func TestTailEnergyPiecewise(t *testing.T) {
 // the event-driven RRC machine over several windows.
 func TestTailEnergyMatchesRRCMachine(t *testing.T) {
 	cfg := rrc.DefaultConfig()
+	tail := cfg.Tail()
 	for _, windowS := range []float64{1, 3.5, 7, 12, 19, 25, 60} {
 		clock := simtime.NewClock()
 		m, err := rrc.NewMachine(clock, cfg)
@@ -131,7 +144,7 @@ func TestTailEnergyMatchesRRCMachine(t *testing.T) {
 		tailStart := m.EnergyJ()
 		clock.RunFor(time.Duration(windowS * float64(time.Second)))
 		got := m.EnergyJ() - tailStart
-		want := tailEnergyJ(cfg, 0, windowS)
+		want := tailEnergy(&tail, 0, windowS)
 		if math.Abs(got-want) > 1e-6 {
 			t.Fatalf("window %vs: machine %v J vs closed form %v J", windowS, got, want)
 		}
@@ -140,55 +153,56 @@ func TestTailEnergyMatchesRRCMachine(t *testing.T) {
 
 func TestSwitchedWindowEnergy(t *testing.T) {
 	cfg := rrc.DefaultConfig()
+	tail := cfg.Tail()
 	// Switch immediately in a 20 s window starting right after a transfer:
 	// release delay at release power + lump + idle for the rest.
 	rel := cfg.ReleaseDelay.Seconds()
 	want := rel*cfg.PowerRelease + cfg.ReleaseSignalEnergy + (20-rel)*cfg.PowerIdle
-	if got := switchedWindowEnergyJ(cfg, 0, 20, 0); math.Abs(got-want) > 1e-9 {
+	if got := switchedWindowEnergy(&tail, 0, 20, 0); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("switched window = %v, want %v", got, want)
 	}
 	// Switch at 2 s: 2 s of DCH first.
 	want = 2*cfg.PowerDCHIdle + rel*cfg.PowerRelease + cfg.ReleaseSignalEnergy + (18-rel)*cfg.PowerIdle
-	if got := switchedWindowEnergyJ(cfg, 0, 20, 2); math.Abs(got-want) > 1e-9 {
+	if got := switchedWindowEnergy(&tail, 0, 20, 2); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("switched@2 window = %v, want %v", got, want)
 	}
 	// Switch after the window ends: plain tail.
-	if got, want := switchedWindowEnergyJ(cfg, 0, 5, 10), tailEnergyJ(cfg, 0, 5); got != want {
+	if got, want := switchedWindowEnergy(&tail, 0, 5, 10), tailEnergy(&tail, 0, 5); got != want {
 		t.Fatalf("late switch = %v, want tail %v", got, want)
 	}
 }
 
 func TestSwitchedAlwaysCheaperForLongReads(t *testing.T) {
-	cfg := rrc.DefaultConfig()
+	tail := rrc.DefaultConfig().Tail()
 	// For a long reading window the forced release must beat the timers.
-	stay := tailEnergyJ(cfg, 0, 60)
-	switched := switchedWindowEnergyJ(cfg, 0, 60, 2)
+	stay := tailEnergy(&tail, 0, 60)
+	switched := switchedWindowEnergy(&tail, 0, 60, 2)
 	if switched >= stay {
 		t.Fatalf("release (%v J) not cheaper than timers (%v J) for 60s read", switched, stay)
 	}
 	// For a very short window the full cost of releasing — window energy
 	// plus the IDLE→DCH re-promotion the next click now pays — must lose
 	// (the Fig. 3 lesson).
-	stayShort := tailEnergyJ(cfg, 0, 1)
-	_, promoDelta := promoAdjust(cfg, stateAfter(cfg, 1))
+	stayShort := tailEnergy(&tail, 0, 1)
+	_, promoDelta := promoAdjustStage(&tail, stageAfter(&tail, 1))
 	stayShort += promoDelta // next load is cheaper from a warm radio
-	switchedShort := switchedWindowEnergyJ(cfg, 0, 1, 0)
+	switchedShort := switchedWindowEnergy(&tail, 0, 1, 0)
 	if switchedShort <= stayShort {
 		t.Fatalf("release (%v J) beat timers (%v J incl. warm promo) for 1s read", switchedShort, stayShort)
 	}
 }
 
 func TestPromoAdjust(t *testing.T) {
-	cfg := rrc.DefaultConfig()
-	dt, dj := promoAdjust(cfg, TailIdle)
+	tail := rrc.DefaultConfig().Tail()
+	dt, dj := promoAdjustStage(&tail, stageIdle)
 	if dt != 0 || dj != 0 {
 		t.Fatalf("idle adjust = %v,%v, want zero", dt, dj)
 	}
-	dt, dj = promoAdjust(cfg, TailFACH)
+	dt, dj = promoAdjustStage(&tail, stageFACH)
 	if dt >= 0 || dj >= 0 {
 		t.Fatalf("FACH adjust = %v,%v, want negative (faster, cheaper)", dt, dj)
 	}
-	dtD, djD := promoAdjust(cfg, TailDCH)
+	dtD, djD := promoAdjustStage(&tail, stageDCH)
 	if dtD >= dt || djD >= dj {
 		t.Fatalf("DCH adjust (%v,%v) not better than FACH (%v,%v)", dtD, djD, dt, dj)
 	}

@@ -10,10 +10,8 @@ import (
 // of reading windows event-by-event would be wasteful; its agreement with
 // the event-driven radio machines is asserted by tests.
 //
-// The generic functions walk an rrc.TailProfile by stage index (0 = active,
-// TerminalIndex = terminal idle), so they work for any backend; the
-// rrc.Config-taking wrappers below keep the original UMTS vocabulary for
-// callers and tests that think in DCH/FACH/IDLE.
+// The functions walk an rrc.TailProfile by stage index (0 = active,
+// TerminalIndex = terminal idle), so they work for any backend.
 
 // stageAfter returns the tail-stage index elapsed seconds after the last
 // transfer ended, with the radio following its timers.
@@ -95,59 +93,6 @@ func promoAdjustStage(tp *rrc.TailProfile, stage int) (deltaSeconds, deltaJ floa
 	st := tp.Stage(stage)
 	sS := st.PromoLatency.Seconds()
 	return sS - idlePromoS, (st.PromoLumpJ + sS*tp.PromoPowerW) - idlePromoJ
-}
-
-// --- UMTS-named wrappers ------------------------------------------------------
-
-// TailState describes the radio some time after the last transfer, in UMTS
-// vocabulary: it is the tail-stage index shifted by one.
-type TailState int
-
-const (
-	// TailDCH: within T1 of the last transfer.
-	TailDCH TailState = iota + 1
-	// TailFACH: between T1 and T1+T2.
-	TailFACH
-	// TailIdle: past T1+T2.
-	TailIdle
-)
-
-// stateAfter returns the radio tail state elapsed seconds after the last
-// transfer ended.
-func stateAfter(cfg rrc.Config, elapsed float64) TailState {
-	tail := cfg.Tail()
-	return TailState(stageAfter(&tail, elapsed) + 1)
-}
-
-// tailEnergyJ integrates radio power over the window [from, from+dur)
-// seconds after the last transfer, with the radio following its timers.
-func tailEnergyJ(cfg rrc.Config, from, dur float64) float64 {
-	tail := cfg.Tail()
-	return tailEnergy(&tail, from, dur)
-}
-
-// releaseEnergyJ is the cost of a fast-dormancy release (delay at release
-// power plus the signaling lump).
-func releaseEnergyJ(cfg rrc.Config) float64 {
-	tail := cfg.Tail()
-	return releaseEnergy(&tail)
-}
-
-// switchedWindowEnergyJ integrates a reading window of dur seconds (starting
-// tailElapsed after the last transfer) during which the radio is forced to
-// IDLE switchAt seconds into the window.
-func switchedWindowEnergyJ(cfg rrc.Config, tailElapsed, dur, switchAt float64) float64 {
-	tail := cfg.Tail()
-	return switchedWindowEnergy(&tail, tailElapsed, dur, switchAt)
-}
-
-// promoAdjust returns the load-time and load-energy adjustment for a page
-// load that was measured starting from IDLE but actually starts from the
-// given tail state. Warmer states promote faster and skip the signaling
-// re-establishment lump.
-func promoAdjust(cfg rrc.Config, s TailState) (deltaSeconds, deltaJ float64) {
-	tail := cfg.Tail()
-	return promoAdjustStage(&tail, int(s)-1)
 }
 
 func overlap(a0, a1, b0, b1 float64) float64 {
