@@ -17,8 +17,9 @@
 // up to that bound.
 //
 // Closed loop: -conns workers issue requests back to back with no think
-// time. Throughput at saturation is what BENCH_SERVE.json records; the
-// percentiles tell how much latency that throughput costs.
+// time. Throughput at saturation is what TestServeSaturation gates
+// (go test -tags servebench); the percentiles tell how much latency that
+// throughput costs.
 //
 // Latency is accumulated in mergeable internal/stats sketches (one per
 // connection, merged deterministically in connection order), reported as

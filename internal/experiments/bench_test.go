@@ -3,6 +3,7 @@ package experiments
 import (
 	"bufio"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,41 +11,64 @@ import (
 	"eabrowse/internal/browser"
 )
 
-// BenchmarkVisit measures the steady-state cost of one page visit on a
-// pooled phone: check a session out, replay the m.cnn.com load to final
-// display, check it back in. With the plan cache warm and result buffers
-// reused the visit is expected to stay within single-digit allocations —
-// scripts/bench.sh records the numbers in BENCH_SIM.json and CI fails on a
-// >25% allocs/op regression.
-func BenchmarkVisit(b *testing.B) {
+// pooledVisit warms a session pool and returns one steady-state page visit
+// on it: check a session out, replay the m.cnn.com load to final display,
+// check it back in. The warm-up fills the load-plan cache and the pool's
+// result buffers.
+func pooledVisit(tb testing.TB, mode browser.Mode) func() {
+	tb.Helper()
 	page, err := MCNNPage()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	for _, mode := range []browser.Mode{browser.ModeOriginal, browser.ModeEnergyAware} {
+	pool := NewSessionPool(mode, WithEngineOptions(browser.WithReusableResults()))
+	visit := func() {
+		s, err := pool.Get()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := s.LoadToEnd(page); err != nil {
+			tb.Fatal(err)
+		}
+		pool.Put(s)
+	}
+	visit()
+	return visit
+}
+
+var visitModes = []browser.Mode{browser.ModeOriginal, browser.ModeEnergyAware}
+
+// maxVisitAllocs bounds a pooled visit's heap allocations. The pooled visit
+// allocates nothing (0 allocs/op in the BENCH_SIM.json snapshot committed
+// in c5858fa); the +2 grace keeps one incidental allocation from failing a
+// zero baseline.
+const maxVisitAllocs = 2
+
+// TestVisitAllocs gates the steady-state pooled visit at maxVisitAllocs.
+func TestVisitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations; alloc gates hold only in normal builds")
+	}
+	for _, mode := range visitModes {
+		visit := pooledVisit(t, mode)
+		got := testing.AllocsPerRun(50, visit)
+		t.Logf("%s: %v allocs/visit", mode, got)
+		if got > maxVisitAllocs {
+			t.Errorf("%s: pooled visit allocates %v, want <= %d", mode, got, maxVisitAllocs)
+		}
+	}
+}
+
+// BenchmarkVisit measures the steady-state cost of one pooled page visit
+// (pooledVisit); TestVisitAllocs gates its allocations.
+func BenchmarkVisit(b *testing.B) {
+	for _, mode := range visitModes {
 		b.Run(mode.String(), func(b *testing.B) {
-			pool := NewSessionPool(mode,
-				WithEngineOptions(browser.WithReusableResults()))
-			// Warm the load-plan cache and the pool's buffers.
-			s, err := pool.Get()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.LoadToEnd(page); err != nil {
-				b.Fatal(err)
-			}
-			pool.Put(s)
+			visit := pooledVisit(b, mode)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s, err := pool.Get()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.LoadToEnd(page); err != nil {
-					b.Fatal(err)
-				}
-				pool.Put(s)
+				visit()
 			}
 		})
 	}
@@ -72,21 +96,52 @@ func BenchmarkFleetReplay(b *testing.B) {
 	b.ReportMetric(float64(visits), "visits")
 }
 
-// BenchmarkFleetScale measures fleet throughput at a population large enough
-// for the counted-multiplicity fold to dominate (every visit after the first
-// few thousand hits an existing template). scripts/bench.sh records
-// users_per_sec, visits, and the process peak RSS in BENCH_FLEET.json; CI
-// gates on allocs/visit.
+// fleetScaleConfig is a population large enough for the counted-multiplicity
+// fold to dominate: every visit after the first few thousand hits an
+// existing template.
+var fleetScaleConfig = FleetConfig{Users: 20_000, HoursPerUser: 0.25, Seed: 20130709}
+
+// maxFleetAllocsPerVisit bounds heap allocations per replayed visit at
+// fleetScaleConfig: the allocs/visit of the BenchmarkFleetScale snapshot
+// committed in c5858fa (342,743 allocs over 286,705 visits) x 1.25 + 0.05.
+const maxFleetAllocsPerVisit = 342_743.0/286_705*1.25 + 0.05
+
+// TestFleetAllocsPerVisit gates the fleet replay's allocations per visit
+// at maxFleetAllocsPerVisit, counting every malloc across one Fleet call
+// with the training artifacts pre-warmed.
+func TestFleetAllocsPerVisit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations; alloc gates hold only in normal builds")
+	}
+	if _, err := TrainedPredictor(true); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Fleet(fleetScaleConfig)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perVisit := float64(after.Mallocs-before.Mallocs) / float64(res.Visits)
+	t.Logf("%d visits, %.3f allocs/visit", res.Visits, perVisit)
+	if perVisit > maxFleetAllocsPerVisit {
+		t.Fatalf("fleet allocates %.3f per visit, want <= %.3f", perVisit, maxFleetAllocsPerVisit)
+	}
+}
+
+// BenchmarkFleetScale measures fleet throughput at fleetScaleConfig and
+// reports users_per_sec, visits and the process peak RSS alongside.
+// TestFleetAllocsPerVisit gates its allocations per visit.
 func BenchmarkFleetScale(b *testing.B) {
 	if _, err := TrainedPredictor(true); err != nil {
 		b.Fatal(err)
 	}
-	cfg := FleetConfig{Users: 20_000, HoursPerUser: 0.25, Seed: 20130709}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var visits int
 	for i := 0; i < b.N; i++ {
-		res, err := Fleet(cfg)
+		res, err := Fleet(fleetScaleConfig)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,7 +149,7 @@ func BenchmarkFleetScale(b *testing.B) {
 	}
 	b.StopTimer()
 	sec := b.Elapsed().Seconds() / float64(b.N)
-	b.ReportMetric(float64(cfg.Users)/sec, "users_per_sec")
+	b.ReportMetric(float64(fleetScaleConfig.Users)/sec, "users_per_sec")
 	b.ReportMetric(float64(visits), "visits")
 	b.ReportMetric(float64(benchVmHWM())/1024, "peak_rss_mb")
 }

@@ -32,7 +32,7 @@ var fleetShapeCfg = Config{Trees: 400, MaxLeaves: 8, Shrinkage: 0.1, MinSamplesL
 
 // BenchmarkTrainFleetShape measures the presorted engine on the fleet-scale
 // shape. Its ratio against BenchmarkReferenceTrainFleetShape is the tracked
-// training speedup (EXPERIMENTS.md, BENCH_GBRT.json).
+// training speedup (EXPERIMENTS.md).
 func BenchmarkTrainFleetShape(b *testing.B) {
 	xs, ys := fleetShapeData()
 	b.ReportAllocs()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"eabrowse/internal/browser"
+	"eabrowse/internal/channel"
 	"eabrowse/internal/features"
 	"eabrowse/internal/gbrt"
 	"eabrowse/internal/netsim"
@@ -144,14 +145,14 @@ func NewEvaluatorWithRadio(ds *trace.Dataset, pred *predictor.Predictor, params 
 			return pageCost{}, fmt.Errorf("policy: pool page %s has no page body", pp.Name)
 		}
 		var cost pageCost
-		origRes, err := loadOnce(pp, browser.ModeOriginal, spec)
+		origRes, err := loadOnce(pp, browser.ModeOriginal, spec, nil)
 		if err != nil {
 			return pageCost{}, fmt.Errorf("load %s original: %w", pp.Name, err)
 		}
 		cost.origLoadS = origRes.FinalDisplayAt.Seconds()
 		cost.origEnergyJ = origRes.TotalEnergyJ()
 		cost.origTailS = origRes.LayoutTime().Seconds()
-		eaRes, err := loadOnce(pp, browser.ModeEnergyAware, spec)
+		eaRes, err := loadOnce(pp, browser.ModeEnergyAware, spec, nil)
 		if err != nil {
 			return pageCost{}, fmt.Errorf("load %s energy-aware: %w", pp.Name, err)
 		}
@@ -169,7 +170,9 @@ func NewEvaluatorWithRadio(ds *trace.Dataset, pred *predictor.Predictor, params 
 	return ev, nil
 }
 
-func loadOnce(pp *trace.PoolPage, mode browser.Mode, spec rrc.ModelSpec) (*browser.Result, error) {
+// loadOnce loads one pool page to final display on a fresh phone. sched
+// attaches a channel schedule to the link; nil is the fixed link.
+func loadOnce(pp *trace.PoolPage, mode browser.Mode, spec rrc.ModelSpec, sched *channel.Schedule) (*browser.Result, error) {
 	clock := simtime.NewClock()
 	radio, err := spec.New(clock)
 	if err != nil {
@@ -179,6 +182,7 @@ func loadOnce(pp *trace.PoolPage, mode browser.Mode, spec rrc.ModelSpec) (*brows
 	if err != nil {
 		return nil, err
 	}
+	link.SetChannel(sched)
 	var opts []browser.Option
 	if mode == browser.ModeEnergyAware {
 		opts = append(opts, browser.WithoutAutoDormancy())

@@ -10,11 +10,9 @@ import (
 	"eabrowse/internal/channel"
 	"eabrowse/internal/features"
 	"eabrowse/internal/gbrt"
-	"eabrowse/internal/netsim"
 	"eabrowse/internal/predictor"
 	"eabrowse/internal/rrc"
 	"eabrowse/internal/runner"
-	"eabrowse/internal/simtime"
 	"eabrowse/internal/trace"
 )
 
@@ -162,7 +160,7 @@ func NewScenarioEvaluator(ds *trace.Dataset, pred *predictor.Predictor, params P
 		if err != nil {
 			return segCost{}, err
 		}
-		res, err := loadOnceChannel(pp, spec, cond)
+		res, err := loadOnce(pp, browser.ModeEnergyAware, spec, cond)
 		if err != nil {
 			return segCost{}, fmt.Errorf("load %s under %s segment %d: %w",
 				pp.Name, sched.Name(), i%nseg, err)
@@ -182,39 +180,6 @@ func NewScenarioEvaluator(ds *trace.Dataset, pred *predictor.Predictor, params P
 		ev.pool[ds.Pool[i].Name] = i
 	}
 	return ev, nil
-}
-
-// loadOnceChannel is loadOnce for the energy-aware pipeline with a channel
-// schedule attached to the link.
-func loadOnceChannel(pp *trace.PoolPage, spec rrc.ModelSpec, sched *channel.Schedule) (*browser.Result, error) {
-	clock := simtime.NewClock()
-	radio, err := spec.New(clock)
-	if err != nil {
-		return nil, err
-	}
-	link, err := netsim.NewLink(clock, radio, netsim.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	link.SetChannel(sched)
-	engine, err := browser.NewEngine(clock, radio, link, browser.DefaultCostModel(),
-		browser.ModeEnergyAware, browser.WithoutAutoDormancy())
-	if err != nil {
-		return nil, err
-	}
-	var result *browser.Result
-	if err := engine.Load(pp.Page, func(r *browser.Result) { result = r }); err != nil {
-		return nil, err
-	}
-	for result == nil {
-		if !clock.Step() {
-			return nil, errors.New("policy: load stalled")
-		}
-		if clock.Now() > 30*time.Minute {
-			return nil, errors.New("policy: load timed out")
-		}
-	}
-	return result, nil
 }
 
 // EvaluateAll replays the trace under every scenario policy.

@@ -3,6 +3,7 @@ package predictor
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -170,4 +171,53 @@ func TestPredictVecSecondsAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("PredictVecSeconds allocates %.1f/op, want 0", allocs)
 	}
+}
+
+// FuzzLoadPredictor feeds arbitrary bytes to LoadPredictor: it must return
+// an error or a predictor that holds the envelope's invariants, answers a
+// prediction and survives its own Save/Load round trip — and never panic.
+//
+//	go test ./internal/predictor -fuzz=FuzzLoadPredictor -fuzztime=20s
+func FuzzLoadPredictor(f *testing.F) {
+	golden, err := os.ReadFile(goldenPredictorPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	// A one-split forest, small enough for mutations to reach every check,
+	// at ordinary thresholds and at ones past time.Duration's range or
+	// below its resolution.
+	for _, th := range []struct{ alpha, tp, td string }{
+		{"2", "4", "9"}, {"1e300", "4", "9"}, {"2", "4", "1e10"}, {"2", "1e-12", "1e-12"},
+	} {
+		f.Add([]byte(fmt.Sprintf(`{"version":2,"featureSchema":%d,"numFeatures":%d,`+
+			`"alpha":%s,"tp_s":%s,"td_s":%s,"interestTrained":true,"model":{"version":1,`+
+			`"base":3,"shrinkage":0.1,"numFeatures":%d,"trees":[{"nodes":[`+
+			`{"feature":0,"threshold":10,"left":1,"right":2},`+
+			`{"leaf":true,"value":-1},{"leaf":true,"value":1}]}]}}`,
+			features.SchemaVersion, features.Num, th.alpha, th.tp, th.td, features.Num)))
+	}
+	probe := features.Vector{12, 340, 25, 4, 9, 120, 0.8, 3, 2800, 320}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := LoadPredictor(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if th := p.Thresholds(); th.Alpha < 0 || th.Tp <= 0 || th.Td < th.Tp {
+			t.Fatalf("loaded thresholds %+v break 0 <= Alpha, 0 < Tp <= Td", th)
+		}
+		if n := p.model.NumFeatures(); n != features.Num {
+			t.Fatalf("loaded forest wants %d features, want %d", n, features.Num)
+		}
+		if _, err := p.PredictVecSeconds(&probe); err != nil {
+			t.Fatalf("loaded predictor cannot predict: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := p.Save(&buf); err != nil {
+			t.Fatalf("loaded predictor cannot save: %v", err)
+		}
+		if _, err := LoadPredictor(&buf); err != nil {
+			t.Fatalf("re-saved predictor does not load: %v", err)
+		}
+	})
 }

@@ -381,6 +381,21 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 	if in.TdS < in.TpS {
 		return nil, fmt.Errorf("predictor: Td %vs below Tp %vs (Algorithm 2 needs Td >= Tp)", in.TdS, in.TpS)
 	}
+	// The thresholds become time.Durations: they must fit one, and Tp must
+	// stay positive at nanosecond resolution.
+	const maxDurationS = float64(1<<63) / float64(time.Second)
+	if in.Alpha >= maxDurationS || in.TdS >= maxDurationS {
+		return nil, fmt.Errorf("predictor: alpha %vs or Td %vs exceeds the %.0fs duration range",
+			in.Alpha, in.TdS, maxDurationS)
+	}
+	th := Thresholds{
+		Alpha: time.Duration(in.Alpha * float64(time.Second)),
+		Tp:    time.Duration(in.TpS * float64(time.Second)),
+		Td:    time.Duration(in.TdS * float64(time.Second)),
+	}
+	if th.Tp <= 0 {
+		return nil, fmt.Errorf("predictor: Tp %vs rounds to zero", in.TpS)
+	}
 	model, err := gbrt.Load(bytes.NewReader(in.Model))
 	if err != nil {
 		return nil, err
@@ -393,11 +408,7 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 		model:           model,
 		interestTrained: in.InterestTrained,
 		alpha:           in.Alpha,
-		thresholds: Thresholds{
-			Alpha: time.Duration(in.Alpha * float64(time.Second)),
-			Tp:    time.Duration(in.TpS * float64(time.Second)),
-			Td:    time.Duration(in.TdS * float64(time.Second)),
-		},
+		thresholds:      th,
 	}, nil
 }
 

@@ -150,19 +150,23 @@ func TestFastResponseBitIdentity(t *testing.T) {
 	}
 }
 
+// numberCorpus covers the number parser's Clinger fast path, its strconv
+// spill and the out-of-range refusals.
+var numberCorpus = []string{
+	"0", "-0", "1", "12", "340", "0.8", "2800", "-2.5", "1e3", "1E3",
+	"1e+3", "1e-3", "0.1", "123.456", "1e22", "1e23", "-1e-22", "1e-23",
+	"9007199254740992", "9007199254740993", "18446744073709551615",
+	"184467440737095516159", "0.30000000000000004", "1e-308", "1e-320",
+	"2.2250738585072014e-308", "1.7976931348623157e308",
+	"123456789012345678901234567890.5", "3.141592653589793",
+	"5e-324", "4.9e-324", "1e-325",
+}
+
 // TestFastNumberParseBitIdentity checks the fast number parser agrees with
 // strconv.ParseFloat (which is what encoding/json uses) on every number it
 // accepts, across both the Clinger fast path and the strconv spill.
 func TestFastNumberParseBitIdentity(t *testing.T) {
-	corpus := []string{
-		"0", "-0", "1", "12", "340", "0.8", "2800", "-2.5", "1e3", "1E3",
-		"1e+3", "1e-3", "0.1", "123.456", "1e22", "1e23", "-1e-22", "1e-23",
-		"9007199254740992", "9007199254740993", "18446744073709551615",
-		"184467440737095516159", "0.30000000000000004", "1e-308", "1e-320",
-		"2.2250738585072014e-308", "1.7976931348623157e308",
-		"123456789012345678901234567890.5", "3.141592653589793",
-		"5e-324", "4.9e-324", "1e-325",
-	}
+	corpus := append([]string(nil), numberCorpus...)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20000; i++ {
 		f := math.Float64frombits(rng.Uint64())
@@ -203,6 +207,43 @@ func TestFastNumberParseBitIdentity(t *testing.T) {
 
 // --- wire-level fast/fallback parity ---------------------------------------
 
+// wireFeatsJSON is the feature vector the wire corpora below share.
+const wireFeatsJSON = `[12,340,25,4,9,120,0.8,3,2800,320]`
+
+// predictVariants spells one /v1/predict request canonically (the first
+// entry, fast path) and non-canonically (fallback: spread whitespace,
+// reordered keys, escaped radio, odd key case, duplicate key).
+var predictVariants = []string{
+	`{"features":` + wireFeatsJSON + `}`,
+	`{"features":` + wireFeatsJSON + `,"radio":"umts"}`,
+	` { "features" : ` + wireFeatsJSON + ` , "radio" : "umts" } `,
+	`{"radio":"umts","features":` + wireFeatsJSON + `}`,
+	`{"features":` + wireFeatsJSON + `,"radio":"\u0075mts"}`,
+	`{"Features":` + wireFeatsJSON + `,"Radio":"umts"}`,
+	`{"features":[1],"features":` + wireFeatsJSON + `}`, // duplicate key: last wins
+}
+
+// decideVariants spells one /v1/decide request canonically and reordered.
+var decideVariants = []string{
+	`{"features":` + wireFeatsJSON + `,"mode":"power"}`,
+	`{"mode":"power","features": ` + wireFeatsJSON + `}`,
+}
+
+// wireErrCases are bodies that ride the fallback to a legacy 400.
+var wireErrCases = []struct {
+	path, body string
+	status     int
+	substr     string
+}{
+	{"/v1/predict", `{"features":[1,2,3]}`, http.StatusBadRequest, "need exactly"},
+	{"/v1/predict", `{"bogus":1}`, http.StatusBadRequest, "unknown field"},
+	{"/v1/predict", `{"features":` + wireFeatsJSON + `}{"again":true}`, http.StatusBadRequest, "trailing data"},
+	{"/v1/predict", `{"features":[1e999]}`, http.StatusBadRequest, "cannot unmarshal number"},
+	{"/v1/predict", `not json`, http.StatusBadRequest, "bad request body"},
+	{"/v1/predict", `{"features":` + wireFeatsJSON + `,"radio":"5g"}`, http.StatusBadRequest, "unknown radio profile"},
+	{"/v1/decide", `{"features":` + wireFeatsJSON + `,"mode":"warp"}`, http.StatusBadRequest, "unknown mode"},
+}
+
 // TestFastPathWireParity drives a running server with canonical and
 // non-canonical bodies and checks the response bytes equal what the
 // encoding/json pipeline produces for the same answer — i.e. the fast path
@@ -227,21 +268,7 @@ func TestFastPathWireParity(t *testing.T) {
 		return resp.StatusCode, data
 	}
 
-	featsJSON := `[12,340,25,4,9,120,0.8,3,2800,320]`
-	canonical := fmt.Sprintf(`{"features":%s}`, featsJSON)
-
-	// The same request in canonical (fast-path) and non-canonical
-	// (fallback: spread whitespace, reordered keys, escaped radio, odd key
-	// case) spellings must produce byte-identical 200 bodies.
-	variants := []string{
-		canonical,
-		fmt.Sprintf(`{"features":%s,"radio":"umts"}`, featsJSON),
-		fmt.Sprintf(` { "features" : %s , "radio" : "umts" } `, featsJSON),
-		fmt.Sprintf(`{"radio":"umts","features":%s}`, featsJSON),
-		fmt.Sprintf(`{"features":%s,"radio":"\u0075mts"}`, featsJSON),
-		fmt.Sprintf(`{"Features":%s,"Radio":"umts"}`, featsJSON),
-		fmt.Sprintf(`{"features":[1],"features":%s}`, featsJSON), // duplicate key: last wins
-	}
+	canonical := predictVariants[0]
 	code0, want := post("/v1/predict", canonical)
 	if code0 != http.StatusOK {
 		t.Fatalf("canonical predict: %d (%s)", code0, want)
@@ -253,7 +280,7 @@ func TestFastPathWireParity(t *testing.T) {
 	if !bytes.Equal(want, jsonEncode(t, pr)) {
 		t.Fatalf("fast predict body %q is not encoding/json-identical", want)
 	}
-	for _, body := range variants {
+	for _, body := range predictVariants[1:] {
 		code, got := post("/v1/predict", body)
 		if code != http.StatusOK {
 			t.Fatalf("predict %q: status %d (%s)", body, code, got)
@@ -264,8 +291,7 @@ func TestFastPathWireParity(t *testing.T) {
 	}
 
 	// Decide: fast and fallback spellings agree byte for byte.
-	dcanon := fmt.Sprintf(`{"features":%s,"mode":"power"}`, featsJSON)
-	code0, dwant := post("/v1/decide", dcanon)
+	code0, dwant := post("/v1/decide", decideVariants[0])
 	if code0 != http.StatusOK {
 		t.Fatalf("canonical decide: %d (%s)", code0, dwant)
 	}
@@ -276,25 +302,12 @@ func TestFastPathWireParity(t *testing.T) {
 	if !bytes.Equal(dwant, jsonEncode(t, dr)) {
 		t.Fatalf("fast decide body %q is not encoding/json-identical", dwant)
 	}
-	if code, got := post("/v1/decide", fmt.Sprintf(`{"mode":"power","features": %s}`, featsJSON)); code != http.StatusOK || !bytes.Equal(got, dwant) {
+	if code, got := post("/v1/decide", decideVariants[1]); code != http.StatusOK || !bytes.Equal(got, dwant) {
 		t.Fatalf("decide fallback spelling: %d %q want %q", code, got, dwant)
 	}
 
 	// Error bodies ride the fallback and keep the legacy statuses/messages.
-	errCases := []struct {
-		path, body string
-		status     int
-		substr     string
-	}{
-		{"/v1/predict", `{"features":[1,2,3]}`, http.StatusBadRequest, "need exactly"},
-		{"/v1/predict", `{"bogus":1}`, http.StatusBadRequest, "unknown field"},
-		{"/v1/predict", canonical + `{"again":true}`, http.StatusBadRequest, "trailing data"},
-		{"/v1/predict", `{"features":[1e999]}`, http.StatusBadRequest, "cannot unmarshal number"},
-		{"/v1/predict", `not json`, http.StatusBadRequest, "bad request body"},
-		{"/v1/predict", fmt.Sprintf(`{"features":%s,"radio":"5g"}`, featsJSON), http.StatusBadRequest, "unknown radio profile"},
-		{"/v1/decide", fmt.Sprintf(`{"features":%s,"mode":"warp"}`, featsJSON), http.StatusBadRequest, "unknown mode"},
-	}
-	for _, tc := range errCases {
+	for _, tc := range wireErrCases {
 		code, got := post(tc.path, tc.body)
 		if code != tc.status {
 			t.Fatalf("%s %q: status %d want %d (%s)", tc.path, tc.body, code, tc.status, got)
@@ -306,6 +319,21 @@ func TestFastPathWireParity(t *testing.T) {
 }
 
 // --- /v1/predict_batch ------------------------------------------------------
+
+type batchBadCase struct {
+	name, body string
+	substr     string
+}
+
+// batchBadCases are /v1/predict_batch bodies that must 400.
+var batchBadCases = []batchBadCase{
+	{"empty object", `{}`, "empty batch"},
+	{"empty rows", `{"features":[]}`, "empty batch"},
+	{"short row", `{"features":[[1,2,3]]}`, "vector 0: need exactly"},
+	{"second row short", `{"features":[[1,2,3,4,5,6,7,8,9,10],[1]]}`, "vector 1: need exactly"},
+	{"unknown field", `{"rows":[[1]]}`, "unknown field"},
+	{"not json", `nope`, "bad request body"},
+}
 
 func TestPredictBatch(t *testing.T) {
 	_, base := startServer(t, Config{ModelPath: goldenModelPath})
@@ -369,18 +397,9 @@ func TestPredictBatch(t *testing.T) {
 		huge.WriteString(`[0,0,0,0,0,0,0,0,0,0]`)
 	}
 	huge.WriteString(`]}`)
-	bad := []struct {
-		name, body string
-		substr     string
-	}{
-		{"empty object", `{}`, "empty batch"},
-		{"empty rows", `{"features":[]}`, "empty batch"},
-		{"short row", `{"features":[[1,2,3]]}`, "vector 0: need exactly"},
-		{"second row short", `{"features":[[1,2,3,4,5,6,7,8,9,10],[1]]}`, "vector 1: need exactly"},
-		{"unknown field", `{"rows":[[1]]}`, "unknown field"},
-		{"not json", `nope`, "bad request body"},
-		{"too many rows", huge.String(), fmt.Sprintf("exceeds %d", maxBatchRows)},
-	}
+	bad := append(batchBadCases, batchBadCase{
+		"too many rows", huge.String(), fmt.Sprintf("exceeds %d", maxBatchRows),
+	})
 	for _, tc := range bad {
 		resp, err := http.Post(base+"/v1/predict_batch", "application/json", bytes.NewReader([]byte(tc.body)))
 		if err != nil {

@@ -206,7 +206,7 @@ type predictResult struct {
 
 // predictCoreStripe is the steady-state hot path: one atomic model snapshot,
 // one in-place forest walk, one counter bump into the caller's stripe. Zero
-// allocations per op — the soak harness and BenchmarkPredictCore pin that.
+// allocations per op — the soak harness and TestPredictCoreZeroAllocs pin that.
 func (s *Server) predictCoreStripe(vec *features.Vector, st *stripe) (predictResult, error) {
 	lm := s.model.current()
 	if lm == nil {

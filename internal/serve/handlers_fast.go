@@ -17,7 +17,7 @@ import (
 // on the connection goroutine — the compute is a sub-microsecond forest
 // walk, so a queue hop would cost more than the work — through pooled
 // scratch buffers and the hand-rolled JSON layer. The steady-state path
-// allocates nothing (BenchmarkServePredict pins 0 allocs/op end to end).
+// allocates nothing (TestServePredictZeroAllocs pins 0 allocs/op end to end).
 // /v1/simulate keeps the bounded worker queue: simulations run for
 // milliseconds, which is what backpressure and deadlines are for.
 

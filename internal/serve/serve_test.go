@@ -579,8 +579,26 @@ func TestStartLoadsModelThroughRetry(t *testing.T) {
 	}
 }
 
+// TestPredictCoreZeroAllocs pins the serving hot path behind the HTTP and
+// queue layers at zero allocations per prediction.
+func TestPredictCoreZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool; alloc gates hold only in normal builds")
+	}
+	s := newFastServer(t)
+	vec := probeVec
+	got := testing.AllocsPerRun(1000, func() {
+		if _, err := s.predictCore(&vec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Fatalf("predictCore allocates %v per prediction, want 0", got)
+	}
+}
+
 // BenchmarkPredictCore measures the serving hot path behind the HTTP and
-// queue layers; the soak harness additionally pins it at zero allocations.
+// queue layers; TestPredictCoreZeroAllocs gates its allocations.
 func BenchmarkPredictCore(b *testing.B) {
 	s, err := New(Config{ModelPath: goldenModelPath})
 	if err != nil {
