@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
@@ -500,7 +499,7 @@ func (rt *fleetRuntime) runShards(cfg FleetConfig, lo, hi int) ([]FleetShardResu
 		}
 		shLo := sh * cfg.Users / total
 		shHi := (sh + 1) * cfg.Users / total
-		rng := rand.New(rand.NewSource(1)) // reseeded per user
+		rng := trace.NewUserRand(1) // reseeded per user
 		var visitBuf []trace.Visit
 		var fs foldState
 		for u := shLo; u < shHi; u++ {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -93,7 +94,7 @@ func ReadFleetShards(r io.Reader) ([]FleetShardResult, error) {
 		return nil, fmt.Errorf("fleet wire: %d shards exceeds maximum %d", count, fleetShards)
 	}
 	outs := make([]FleetShardResult, 0, count)
-	var buf []byte
+	var frame bytes.Buffer
 	for i := 0; i < count; i++ {
 		var lenb [4]byte
 		if _, err := io.ReadFull(r, lenb[:]); err != nil {
@@ -103,13 +104,13 @@ func ReadFleetShards(r io.Reader) ([]FleetShardResult, error) {
 		if n < 56 || n > fleetWireMaxFrame {
 			return nil, fmt.Errorf("fleet wire: shard %d frame length %d out of range", i, n)
 		}
-		if cap(buf) < n {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
+		// The buffer grows with the bytes that actually arrive, so a
+		// corrupt length on a short stream costs no frame-sized allocation.
+		frame.Reset()
+		if _, err := io.CopyN(&frame, r, int64(n)); err != nil {
 			return nil, fmt.Errorf("fleet wire: shard %d frame: %w", i, err)
 		}
+		buf := frame.Bytes()
 		var o FleetShardResult
 		o.Shard = int(int32(binary.LittleEndian.Uint32(buf)))
 		o.Visits = int64(binary.LittleEndian.Uint64(buf[4:]))

@@ -125,3 +125,40 @@ func TestFleetMultiProcMatchesInProcess(t *testing.T) {
 func workerFile(p int) string {
 	return "worker" + string(rune('0'+p)) + ".bin"
 }
+
+// FuzzReadFleetShards feeds arbitrary bytes to the coordinator's reader of
+// worker output. Whatever it accepts, WriteFleetShards must re-encode to
+// exactly the bytes it consumed. The seeds are real worker output, built
+// at a small sketch budget so they stay near a kilobyte (a full-budget
+// shard set is hundreds of kB, too large for the fuzzer to mutate well).
+func FuzzReadFleetShards(f *testing.F) {
+	oldBudget := fleetSketchBudget
+	fleetSketchBudget = 4
+	cfg := FleetConfig{Users: 2000, HoursPerUser: 0.05, Seed: 20130709}
+	outs, err := RunFleetShards(cfg, 0, 2)
+	fleetSketchBudget = oldBudget
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, set := range [][]FleetShardResult{outs, outs[1:], nil} {
+		var buf bytes.Buffer
+		if err := WriteFleetShards(&buf, set); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r := bytes.NewReader(b)
+		outs, err := ReadFleetShards(r)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFleetShards(&buf, outs); err != nil {
+			t.Fatal(err)
+		}
+		if consumed := b[:len(b)-r.Len()]; !bytes.Equal(buf.Bytes(), consumed) {
+			t.Fatalf("re-encode (%d bytes) differs from the %d consumed bytes", buf.Len(), len(consumed))
+		}
+	})
+}

@@ -256,7 +256,8 @@ func (s *Sketch) AppendBinary(b []byte) []byte {
 const maxDecodeCentroids = 1 << 22
 
 // DecodeSketch decodes one sketch from the front of b, returning it and the
-// remaining bytes.
+// remaining bytes. It rejects any sketch that violates the invariants
+// Observe and Merge maintain (see validate).
 func DecodeSketch(b []byte) (*Sketch, []byte, error) {
 	const header = 4 + 8 + 8 + 8 + 4
 	if len(b) < header {
@@ -283,10 +284,36 @@ func DecodeSketch(b []byte) (*Sketch, []byte, error) {
 			s.cs[i].N = int64(binary.LittleEndian.Uint64(b[i*16+8:]))
 		}
 	}
-	for i := 1; i < len(s.cs); i++ {
-		if !(s.cs[i].V > s.cs[i-1].V) {
-			return nil, nil, fmt.Errorf("stats: sketch centroids out of order at %d", i)
-		}
+	if err := s.validate(); err != nil {
+		return nil, nil, err
 	}
 	return s, b[num*16:], nil
+}
+
+// validate checks the invariants every encoded sketch satisfies: centroid
+// values finite and strictly increasing, every count positive, the header
+// count equal to their sum, and a finite, non-negative error receipt.
+// (Compressing values near ±MaxFloat64 could overflow a weighted mean; no
+// fleet quantity comes near that range, and such a sketch is rejected too.)
+func (s *Sketch) validate() error {
+	if math.IsNaN(s.errV) || math.IsInf(s.errV, 0) || s.errV < 0 {
+		return fmt.Errorf("stats: sketch error bound %v is not finite and non-negative", s.errV)
+	}
+	var n int64
+	for i, c := range s.cs {
+		if math.IsNaN(c.V) || math.IsInf(c.V, 0) {
+			return fmt.Errorf("stats: sketch centroid %d has non-finite value %v", i, c.V)
+		}
+		if i > 0 && !(c.V > s.cs[i-1].V) {
+			return fmt.Errorf("stats: sketch centroids out of order at %d", i)
+		}
+		if c.N <= 0 || n > math.MaxInt64-c.N {
+			return fmt.Errorf("stats: sketch centroid %d has count %d (running total %d)", i, c.N, n)
+		}
+		n += c.N
+	}
+	if n != s.n {
+		return fmt.Errorf("stats: sketch header count %d, centroids hold %d", s.n, n)
+	}
+	return nil
 }

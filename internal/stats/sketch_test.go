@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -247,6 +249,49 @@ func TestSketchDecodeRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// rawSketch encodes arbitrary header and centroid fields in the wire
+// format, including combinations AppendBinary never writes.
+func rawSketch(n int64, errV float64, cs ...Centroid) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, 8)
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(errV))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(cs)))
+	for _, c := range cs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.V))
+		b = binary.LittleEndian.AppendUint64(b, uint64(c.N))
+	}
+	return b
+}
+
+func TestSketchDecodeRejectsInvariantViolations(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+	}{
+		{"zero count", rawSketch(3, 0, Centroid{1, 0}, Centroid{2, 3})},
+		{"negative count", rawSketch(1, 0, Centroid{1, 2}, Centroid{2, -1})},
+		{"header n above sum", rawSketch(5, 0, Centroid{1, 2}, Centroid{2, 2})},
+		{"header n below sum", rawSketch(3, 0, Centroid{1, 2}, Centroid{2, 2})},
+		{"header n without centroids", rawSketch(1, 0)},
+		{"count sum overflows", rawSketch(math.MinInt64, 0, Centroid{1, math.MaxInt64}, Centroid{2, 1})},
+		{"lone NaN centroid", rawSketch(1, 0, Centroid{nan, 1})},
+		{"infinite centroid", rawSketch(2, 0, Centroid{1, 1}, Centroid{inf, 1})},
+		{"NaN error bound", rawSketch(1, nan, Centroid{1, 1})},
+		{"infinite error bound", rawSketch(1, inf, Centroid{1, 1})},
+		{"negative error bound", rawSketch(1, -0.5, Centroid{1, 1})},
+	} {
+		if s, _, err := DecodeSketch(tc.enc); err == nil {
+			t.Errorf("%s: decoded %+v, want an error", tc.name, s)
+		}
+	}
+	// The same helper produces an acceptable sketch when the fields agree.
+	if _, _, err := DecodeSketch(rawSketch(4, 0.25, Centroid{1, 2}, Centroid{2, 2})); err != nil {
+		t.Fatalf("valid raw sketch rejected: %v", err)
+	}
+}
+
 func TestSketchIgnoresInvalidObservations(t *testing.T) {
 	s := NewSketch(8)
 	s.Observe(math.NaN(), 1)
@@ -256,4 +301,54 @@ func TestSketchIgnoresInvalidObservations(t *testing.T) {
 	if s.N() != 0 || s.NumCentroids() != 0 {
 		t.Fatalf("invalid observations were recorded: %+v", s)
 	}
+}
+
+// FuzzDecodeSketch feeds arbitrary bytes to the decoder the multi-process
+// fleet reads worker output through. Whatever it accepts must re-encode to
+// exactly the bytes it consumed, hold every invariant an encoder keeps, and
+// survive merging and quantile queries.
+func FuzzDecodeSketch(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	exact, compressed, merged := NewSketch(0), NewSketch(8), NewSketch(4)
+	for i := 0; i < 200; i++ {
+		exact.Observe(float64(rng.Intn(20)), 1)
+		compressed.Observe(rng.ExpFloat64()*3, int64(1+rng.Intn(4)))
+	}
+	merged.Merge(exact)
+	merged.Merge(compressed)
+	for _, s := range []*Sketch{NewSketch(0), exact, compressed, merged} {
+		f.Add(s.AppendBinary(nil))
+	}
+	f.Add(append(compressed.AppendBinary(nil), 1, 2, 3))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, rest, err := DecodeSketch(b)
+		if err != nil {
+			return
+		}
+		if enc := s.AppendBinary(nil); !bytes.Equal(enc, b[:len(b)-len(rest)]) {
+			t.Fatalf("re-encode differs from the %d consumed bytes", len(b)-len(rest))
+		}
+		if e := s.ErrorBound(); math.IsNaN(e) || math.IsInf(e, 0) || e < 0 {
+			t.Fatalf("error bound %v accepted", e)
+		}
+		var n int64
+		for i, c := range s.Centroids() {
+			if math.IsNaN(c.V) || math.IsInf(c.V, 0) || c.N <= 0 || (i > 0 && !(c.V > s.Centroids()[i-1].V)) {
+				t.Fatalf("centroid %d %+v accepted", i, c)
+			}
+			n += c.N
+		}
+		if n != s.N() {
+			t.Fatalf("header count %d, centroids hold %d", s.N(), n)
+		}
+		for _, budget := range []int{0, 3} {
+			m := NewSketch(budget)
+			m.Merge(s)
+			m.Merge(s)
+			if m.N() != 2*s.N() {
+				t.Fatalf("budget %d: merged count %d, want %d", budget, m.N(), 2*s.N())
+			}
+			_ = m.Quantile(0.5)
+		}
+	})
 }

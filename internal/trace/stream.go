@@ -48,14 +48,15 @@ func (s *Stream) Pool() []PoolPage { return s.pool }
 // The sequence is deterministic in (Config, u) and independent of any other
 // user's. Safe for concurrent use with distinct buffers.
 func (s *Stream) UserVisits(u int, buf []Visit) []Visit {
-	return s.UserVisitsRand(rand.New(rand.NewSource(userSeed(s.cfg.Seed, u))), u, buf)
+	return s.UserVisitsRand(NewUserRand(userSeed(s.cfg.Seed, u)), u, buf)
 }
 
 // UserVisitsRand is UserVisits with a caller-owned rng, reseeded in place:
 // Seed resets a rand.Rand to exactly the state rand.New(rand.NewSource(seed))
 // constructs, so the sequence is identical while the per-user source+rng
-// allocations (several kB each at fleet scale) disappear. The rng must not
-// be shared across concurrent calls.
+// allocations (several kB each at fleet scale) disappear. The rng may be a
+// stock math/rand one or a NewUserRand, which draws the same values and
+// reseeds far cheaper. It must not be shared across concurrent calls.
 func (s *Stream) UserVisitsRand(rng *rand.Rand, u int, buf []Visit) []Visit {
 	cfg := s.cfg
 	rng.Seed(userSeed(cfg.Seed, u))
