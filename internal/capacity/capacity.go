@@ -11,6 +11,8 @@ package capacity
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -88,8 +90,12 @@ func Sweep(userCounts []int, serviceTimes []float64, cfg Config) ([]Result, erro
 	return out, nil
 }
 
-// SupportedUsers finds (by bisection) the largest user population whose
-// session-dropping probability stays at or below maxDropPercent.
+// SupportedUsers returns the capacity boundary at maxDropPercent: a user
+// population whose session-dropping probability stays at or below the target
+// while one more user's exceeds it (or 1 when one user already exceeds it),
+// found by supportedUsers' doubling and bisection. One seeded run's drop% is
+// not monotone in users, so this is the boundary that search path meets, not
+// necessarily the largest passing population.
 func SupportedUsers(serviceTimes []float64, maxDropPercent float64, cfg Config) (int, error) {
 	if err := checkTarget(maxDropPercent, cfg); err != nil {
 		return 0, err
@@ -145,7 +151,7 @@ func newUniformSampler(serviceTimes []float64) (uniformSampler, error) {
 
 func (s uniformSampler) draw(rng *rand.Rand) float64 { return s[rng.Intn(len(s))] }
 
-// event is one entry of simulate's event heap: an arrival or departure at
+// event is one entry of simulate's event queue: an arrival or departure at
 // simulated time at, ordered by (at, seq) exactly as simtime.Clock orders its
 // queue, so the loop replays the event sequence of the closure-per-arrival
 // formulation kept as the test oracle.
@@ -155,9 +161,10 @@ type event struct {
 	dep bool
 }
 
-// eventHeap is a min-heap of events by (at, seq). It is hand-rolled (as
-// simtime's is) so push/pop touch only the preallocated backing slice and a
-// run allocates nothing per event.
+// eventHeap is a min-heap of events by (at, seq): the calendar's overflow
+// store for events beyond its ring. It is hand-rolled (as simtime's is) so
+// push/pop touch only the preallocated backing slice and a run allocates
+// nothing per event.
 type eventHeap []event
 
 func (h eventHeap) less(a, b int) bool {
@@ -204,6 +211,106 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// calNode is one event held in the calendar's ring, linked into its bucket.
+type calNode struct {
+	at   time.Duration
+	seq  uint64
+	next int32 // next node in the bucket or on the free list; 0 ends the list
+	dep  bool
+}
+
+// calendar is simulate's event queue: a monotone calendar queue (R. Brown,
+// "Calendar queues", CACM 1988). Time is cut into buckets of 2^shift ns, and
+// a ring of mask+1 buckets holds every event of the window that starts at the
+// current bucket cur; events at or beyond the window's end wait in overflow
+// and move into the ring as cur advances. Every event is scheduled at or
+// after the last one popped, so the current bucket's minimum (at, seq) is the
+// queue's minimum, and pop returns exactly the sequence a heap would.
+type calendar struct {
+	nodes    []calNode // nodes[0] is the nil sentinel
+	free     int32     // head of the free-node list
+	heads    []int32   // first node of each bucket, 0 when empty
+	shift    uint
+	mask     int64
+	cur      int64 // absolute index (at >> shift) of the current bucket
+	inRing   int
+	overflow eventHeap
+}
+
+// newCalendar sizes the queue for a run of users on cfg. Each user always has
+// exactly one pending arrival and at most Channels departures are in flight,
+// so users+Channels nodes (and as much overflow) never run out, and a run
+// allocates nothing after this. A bucket is the power of two in ns at or
+// below 4·λ/users, about four arrivals wide, and the ring is the power-of-two
+// bucket count spanning at least 8λ, so only the e^-8 (0.03%) of arrivals
+// drawn that far ahead and departures longer than 8λ overflow.
+func newCalendar(users int, cfg Config) calendar {
+	n := users + cfg.Channels
+	q := calendar{
+		nodes:    make([]calNode, n+1),
+		free:     1,
+		shift:    uint(bits.Len64(uint64(cfg.MeanSessionInterval)/uint64(users))) + 1,
+		overflow: make(eventHeap, 0, n),
+	}
+	for i := 1; i < n; i++ {
+		q.nodes[i].next = int32(i + 1)
+	}
+	span := math.Ldexp(8*float64(cfg.MeanSessionInterval), -int(q.shift))
+	buckets := 1
+	for float64(buckets) < span {
+		buckets <<= 1
+	}
+	q.heads = make([]int32, buckets)
+	q.mask = int64(buckets - 1)
+	return q
+}
+
+// push schedules e; e.at must not precede the last event popped.
+func (q *calendar) push(e event) {
+	b := int64(e.at) >> q.shift
+	if b-q.cur > q.mask {
+		q.overflow.push(e)
+		return
+	}
+	i := q.free
+	n := &q.nodes[i]
+	q.free = n.next
+	head := &q.heads[b&q.mask]
+	*n = calNode{at: e.at, seq: e.seq, next: *head, dep: e.dep}
+	*head = i
+	q.inRing++
+}
+
+// pop removes and returns the earliest event by (at, seq). The queue must not
+// be empty; simulate's never is, since every user always has an arrival
+// pending.
+func (q *calendar) pop() event {
+	for q.heads[q.cur&q.mask] == 0 {
+		if q.inRing == 0 {
+			q.cur = int64(q.overflow[0].at) >> q.shift
+		} else {
+			q.cur++
+		}
+		for len(q.overflow) > 0 && int64(q.overflow[0].at)>>q.shift-q.cur <= q.mask {
+			q.push(q.overflow.pop())
+		}
+	}
+	best := &q.heads[q.cur&q.mask]
+	for link := &q.nodes[*best].next; *link != 0; link = &q.nodes[*link].next {
+		n, b := &q.nodes[*link], &q.nodes[*best]
+		if n.at < b.at || n.at == b.at && n.seq < b.seq {
+			best = link
+		}
+	}
+	i := *best
+	n := &q.nodes[i]
+	*best = n.next
+	n.next = q.free
+	q.free = i
+	q.inRing--
+	return event{at: n.at, seq: n.seq, dep: n.dep}
+}
+
 // simulate is the one Erlang-loss event loop behind Simulate and
 // SimulateDist; inputs are already validated. Its rng draw order is a
 // contract: a service draw then a next-arrival draw on accepted arrivals, a
@@ -214,23 +321,24 @@ func simulate[S serviceSampler](users int, smp S, cfg Config) Result {
 	res := Result{Users: users}
 	busy := 0
 
-	// Each user always has exactly one pending arrival; at most Channels
-	// departures are in flight — so the heap never outgrows this.
-	h := make(eventHeap, 0, users+cfg.Channels)
+	q := newCalendar(users, cfg)
 	var seq uint64
 	schedule := func(now, d time.Duration, dep bool) {
 		if d < 0 {
 			d = 0 // simtime.After clamps the same way
 		}
-		h.push(event{at: now + d, seq: seq, dep: dep})
+		q.push(event{at: now + d, seq: seq, dep: dep})
 		seq++
 	}
 	interval := float64(cfg.MeanSessionInterval)
 	for u := 0; u < users; u++ {
 		schedule(0, time.Duration(rng.ExpFloat64()*interval), false)
 	}
-	for len(h) > 0 && h[0].at <= cfg.Duration {
-		ev := h.pop()
+	for {
+		ev := q.pop()
+		if ev.at > cfg.Duration {
+			break
+		}
 		if ev.dep {
 			busy--
 			continue
@@ -256,7 +364,12 @@ func simulate[S serviceSampler](users int, smp S, cfg Config) Result {
 
 // supportedUsers is the one capacity search behind SupportedUsers and
 // SupportedUsersDist: double the population until the drop target is
-// exceeded, then bisect. Inputs are already validated.
+// exceeded, then bisect between the last passing and first failing sizes.
+// It returns a population that passes next to one that fails (1 if even one
+// user fails). Drop% is not monotone in users (a run's arrival draws shift
+// with the population), so a larger population may also pass, beyond a
+// failing one the search skipped; the answer is the boundary on this search's
+// path. Inputs are already validated.
 func supportedUsers[S serviceSampler](smp S, maxDropPercent float64, cfg Config) (int, error) {
 	lo, hi := 1, 1
 	for simulate(hi, smp, cfg).DropPercent <= maxDropPercent {

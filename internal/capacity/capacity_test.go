@@ -1,6 +1,9 @@
 package capacity
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -153,5 +156,124 @@ func TestDeterministicWithSeed(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("same seed, different results: %+v vs %+v", a, b)
+	}
+}
+
+// TestCalendarMatchesHeap drives the calendar queue and a plain eventHeap
+// through the same monotone push/pop sequence and requires the same pops.
+// The gaps span same-instant ties, in-bucket, in-ring and far-overflow
+// distances, so the queue also jumps over an empty ring.
+func TestCalendarMatchesHeap(t *testing.T) {
+	cfg := Config{Channels: 8, MeanSessionInterval: 25 * time.Second}
+	gaps := []time.Duration{0, 1, time.Millisecond, 3 * time.Second, 25 * time.Second,
+		5 * time.Minute, 48 * time.Hour}
+	for _, users := range []int{1, 5, 300} {
+		rng := rand.New(rand.NewSource(int64(users)))
+		q := newCalendar(users, cfg)
+		var h eventHeap
+		var seq uint64
+		var now time.Duration
+		pending := 0
+		push := func() {
+			gap := gaps[rng.Intn(len(gaps))] * time.Duration(1+rng.Intn(3))
+			e := event{at: now + gap, seq: seq, dep: rng.Intn(2) == 0}
+			seq++
+			q.push(e)
+			h.push(e)
+			pending++
+		}
+		for i := 0; i < users; i++ {
+			push()
+		}
+		for step := 0; step < 20_000; step++ {
+			got, want := q.pop(), h.pop()
+			if got != want {
+				t.Fatalf("users %d step %d: calendar popped %+v, heap %+v", users, step, got, want)
+			}
+			now = got.at
+			pending--
+			// Push up to two events, keeping at least one and at most the
+			// queue's capacity pending.
+			n := rng.Intn(3)
+			if pending == 0 {
+				n = 1 + rng.Intn(2)
+			}
+			for ; n > 0 && pending < users+cfg.Channels; n-- {
+				push()
+			}
+		}
+	}
+}
+
+// TestSimulateAllocs gates the engine's allocations as per run, not per
+// event: a run ten times as long allocates exactly as often. The cases cover
+// a Fig. 11-sized population, fleet scale (where arrivals past the ring's
+// span reach the overflow heap most often) and departures that all overflow.
+func TestSimulateAllocs(t *testing.T) {
+	spread := referenceDists(t)[1]
+	long := &Dist{}
+	if err := long.Add(1000, 1); err != nil {
+		t.Fatal(err)
+	}
+	// Collect once first: the runtime's first GC starts its mark workers,
+	// whose allocations would be charged to whichever run triggered it.
+	runtime.GC()
+	for _, c := range []struct {
+		users int
+		d     *Dist
+	}{{400, spread}, {50_000, spread}, {400, long}} {
+		var allocs [2]float64
+		for i, dur := range []time.Duration{2 * time.Minute, 20 * time.Minute} {
+			cfg := DefaultConfig()
+			cfg.Duration = dur
+			allocs[i] = testing.AllocsPerRun(2, func() {
+				if _, err := SimulateDist(c.users, c.d, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		t.Logf("%d users, mean service %.1f s: %v allocs/run at 2 min, %v at 20 min",
+			c.users, c.d.Mean(), allocs[0], allocs[1])
+		if allocs[0] != allocs[1] {
+			t.Errorf("%d users: %v allocs at 2 min but %v at 20 min; want a count per run, not per event",
+				c.users, allocs[0], allocs[1])
+		}
+	}
+}
+
+var benchResult Result
+
+// BenchmarkSimulateDist times one paper-config run (200 channels, λ = 25 s,
+// 4 h) from a Fig. 11-sized population up to fleet scale.
+func BenchmarkSimulateDist(b *testing.B) {
+	d := referenceDists(b)[1]
+	cfg := DefaultConfig()
+	for _, users := range []int{16, 400, 2_000, 50_000} {
+		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := SimulateDist(users, d, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchResult = r
+			}
+		})
+	}
+}
+
+var benchUsers int
+
+// BenchmarkSupportedUsersFig11 times one Fig. 11 capacity search: the
+// doubling-plus-bisection walk at 2% on the paper config.
+func BenchmarkSupportedUsersFig11(b *testing.B) {
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n, err := SupportedUsers(fig11Service, 2, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchUsers = n
 	}
 }

@@ -152,9 +152,10 @@ func DropPercentAt(users int, d *Dist, cfg Config) (float64, error) {
 	return cfg.AnalyticDropPercent(users, d.Mean())
 }
 
-// SupportedUsersDist finds (by bisection) the largest user population whose
-// dropping probability stays at or below maxDropPercent, drawing service
-// times from the weighted distribution.
+// SupportedUsersDist is SupportedUsers drawing service times from the
+// weighted distribution: the capacity boundary at maxDropPercent that the
+// doubling-plus-bisection search meets, which need not be the largest
+// passing population.
 func SupportedUsersDist(d *Dist, maxDropPercent float64, cfg Config) (int, error) {
 	if err := checkTarget(maxDropPercent, cfg); err != nil {
 		return 0, err

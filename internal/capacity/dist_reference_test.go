@@ -1,7 +1,9 @@
 package capacity
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,7 +13,7 @@ import (
 
 // simulateReference is the closure-per-arrival formulation of the Erlang-loss
 // loop on simtime.Clock, verbatim from before the engine was inlined. It is
-// kept as the oracle the inlined heap is pinned against: the two must agree
+// kept as the oracle the engine is pinned against: the two must agree
 // bit-for-bit on every field for every (sampler, users, seed) combination,
 // since Fig. 11 and fleet output determinism depend on the capacity phase
 // being an exact function of its inputs.
@@ -74,7 +76,7 @@ func supportedUsersReference[S serviceSampler](smp S, maxDropPercent float64, cf
 	return lo
 }
 
-func referenceDists(t *testing.T) []*Dist {
+func referenceDists(t testing.TB) []*Dist {
 	t.Helper()
 	single := &Dist{}
 	if err := single.Add(2.5, 10); err != nil {
@@ -106,6 +108,10 @@ func referenceSlices() [][]float64 {
 	skewed[37] = 30
 	return [][]float64{{2.5}, {0.4, 1.2, 2.8, 5.5, 9.1, 14.7}, skewed}
 }
+
+// fig11Service has Fig. 11's shape: per-page transmission times of the full
+// benchmark, tens of seconds each.
+var fig11Service = []float64{14.2, 17.9, 19.4, 21.6, 23.1, 26.8, 31.5, 18.3}
 
 // referenceCase is one service-time input, run through the public engine
 // and through the closure oracle with the same sampler.
@@ -217,9 +223,8 @@ func TestSimulateDistMatchesReferencePaperConfig(t *testing.T) {
 		t.Fatalf("paper config: fast %+v != reference %+v", got, want)
 	}
 
-	// Fig. 11's shape: the paper config fed per-page transmission times of
-	// the full benchmark (tens of seconds), swept and searched at 2%.
-	fig11 := sliceCase("fig11", []float64{14.2, 17.9, 19.4, 21.6, 23.1, 26.8, 31.5, 18.3})
+	// Fig. 11's shape, swept and searched at 2% on the paper config.
+	fig11 := sliceCase("fig11", fig11Service)
 	for _, users := range []int{200, 280, 360} {
 		got, err := fig11.simulate(users, cfg)
 		if err != nil {
@@ -279,4 +284,80 @@ func TestDropPercentAt(t *testing.T) {
 	if _, err := DropPercentAt(0, d, cfg); err == nil {
 		t.Fatal("zero users accepted")
 	}
+}
+
+// serviceBytes encodes service times (seconds) as FuzzSimulateMatchesReference
+// reads them: little-endian float64 bits, eight bytes each.
+func serviceBytes(vals ...float64) []byte {
+	b := make([]byte, 0, 8*len(vals))
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// FuzzSimulateMatchesReference pins the engine against the closure oracle on
+// random short runs: every Result field must match, through both Simulate and
+// SimulateDist. The seed corpus reaches the calendar queue's edge cases:
+// departures tied with their own arrival (1e-12 s truncates to 0 ns), events
+// sharing a nanosecond, departures far beyond the ring's 8λ span (the
+// overflow heap, both left pending and drained back), and a single user.
+func FuzzSimulateMatchesReference(f *testing.F) {
+	// λ is 1 + intervalNs ns; the run lasts 1 ns + durationPermille/1000 λ.
+	f.Add(uint16(0), uint8(0), int64(42), uint64(25e9-1), uint32(119_000), serviceBytes(2.5))
+	f.Add(uint16(399), uint8(39), int64(1), uint64(25e9-1), uint32(2_400), serviceBytes(1e-12, 3, 1e-12))
+	f.Add(uint16(299), uint8(7), int64(7), uint64(5e9-1), uint32(24_000), serviceBytes(1e5, 0.5))
+	f.Add(uint16(199), uint8(49), int64(3), uint64(1e9-1), uint32(119_000), serviceBytes(30, 0.2, 12))
+	f.Add(uint16(0), uint8(0), int64(-9), uint64(1e9-1), uint32(119_000), serviceBytes(1e5))
+	f.Add(uint16(2999), uint8(199), int64(987654321), uint64(25e9-1), uint32(1_200),
+		serviceBytes(0.4, 1.2, 2.8, 5.5, 9.1, 14.7, 1e-12, 40))
+	// A 3 ns λ puts many events on the same nanosecond, so the (at, seq)
+	// tie order decides which of an arrival and a departure comes first.
+	f.Add(uint16(49), uint8(3), int64(5), uint64(2), uint32(100_000), serviceBytes(1e-12, 2e-9, 5e-9))
+	f.Fuzz(func(t *testing.T, users uint16, channels uint8, seed int64, intervalNs uint64, durationPermille uint32, service []byte) {
+		if len(service) < 8 || len(service) > 64 || len(service)%8 != 0 {
+			t.Skip("want 1-8 service values")
+		}
+		vals := make([]float64, len(service)/8)
+		d := &Dist{}
+		for i := range vals {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(service[8*i:]))
+			// Past ~292 years a departure overflows the int64 ns clock in
+			// every formulation; a million seconds is far beyond any page.
+			if !(v > 0 && v <= 1e6) {
+				t.Skip("service time out of (0, 1e6] s")
+			}
+			vals[i] = v
+			if err := d.Add(v, int64(1+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := 1 + int(users)%3000
+		interval := 1 + time.Duration(intervalNs%uint64(time.Minute))
+		cfg := Config{
+			Channels:            1 + int(channels),
+			MeanSessionInterval: interval,
+			// At most 120 mean intervals keeps every run short at any λ.
+			Duration: 1 + interval*time.Duration(durationPermille%120_000)/1000,
+			Seed:     seed,
+		}
+		got, err := Simulate(n, vals, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := simulateReference(n, indexDraw(vals), cfg); got != want {
+			t.Fatalf("Simulate(%d, %v, %+v) = %+v, reference %+v", n, vals, cfg, got, want)
+		}
+		smp, err := newDistSampler(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err = SimulateDist(n, d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := simulateReference(n, smp, cfg); got != want {
+			t.Fatalf("SimulateDist(%d, %v, %+v) = %+v, reference %+v", n, vals, cfg, got, want)
+		}
+	})
 }

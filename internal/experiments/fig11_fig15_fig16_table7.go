@@ -19,7 +19,8 @@ type Fig11Curve struct {
 	Mode    browser.Mode
 	Users   []int
 	DropPct []float64
-	// SupportedAt2Pct is the largest population kept under 2% dropping.
+	// SupportedAt2Pct is the capacity boundary at 2% dropping that
+	// capacity.SupportedUsers' search meets (see its doc).
 	SupportedAt2Pct int
 }
 

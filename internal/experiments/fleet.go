@@ -238,8 +238,9 @@ type FleetModeStats struct {
 	// MeanTransmissionS is the mean per-visit data-transmission time — the
 	// channel-hold time the capacity model charges.
 	MeanTransmissionS float64
-	// SupportedAt2Pct is the largest population the cell keeps under 2%
-	// dropping with this pipeline's transmission times.
+	// SupportedAt2Pct is the capacity boundary at 2% dropping with this
+	// pipeline's transmission times, as capacity.SupportedUsersDist's search
+	// meets it (see its doc).
 	SupportedAt2Pct int
 	// DropPctAtFleet is the dropping probability at the fleet's own size.
 	DropPctAtFleet float64
