@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"eabrowse/internal/browser"
+	"eabrowse/internal/stats"
+	"eabrowse/internal/trace"
 )
 
 // pooledVisit warms a session pool and returns one steady-state page visit
@@ -127,6 +129,69 @@ func TestFleetAllocsPerVisit(t *testing.T) {
 	t.Logf("%d visits, %.3f allocs/visit", res.Visits, perVisit)
 	if perVisit > maxFleetAllocsPerVisit {
 		t.Fatalf("fleet allocates %.3f per visit, want <= %.3f", perVisit, maxFleetAllocsPerVisit)
+	}
+}
+
+// TestFoldedVisitAllocs gates the folded replay's steady state at zero
+// allocations per visit: once a shard has built its templates, opened its
+// fold accumulators and grown its sketches to capacity, replaying a user —
+// delayed-release visits included — allocates nothing. Generating the
+// user's visits is not part of the replay (its per-user category draw
+// allocates; TestFleetAllocsPerVisit counts it with everything else).
+func TestFoldedVisitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations; alloc gates hold only in normal builds")
+	}
+	cfg := FleetConfig{Users: 2000, HoursPerUser: 0.25, Seed: 20130709}
+	rt, err := newFleetRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rt.folded {
+		t.Fatal("default fleet does not fold")
+	}
+	shard := FleetShardResult{
+		OrigTrans:   stats.NewSketch(fleetSketchBudget),
+		AwareTrans:  stats.NewSketch(fleetSketchBudget),
+		OrigVisitJ:  stats.NewSketch(fleetSketchBudget),
+		AwareVisitJ: stats.NewSketch(fleetSketchBudget),
+	}
+	fs := foldState{slot: make([]int32, len(rt.templates))}
+	rng := trace.NewUserRand(1)
+	var buf []trace.Visit
+	// Warm the shard on its first users, remembering one whose replay runs a
+	// delayed-release visit (only those count predictions during replay).
+	user := -1
+	for u := 0; u < 64; u++ {
+		buf = rt.stream.UserVisitsRand(rng, u, buf[:0])
+		before := shard.Predictions
+		if err := rt.replayUserFolded(u, buf, &fs, &shard); err != nil {
+			t.Fatal(err)
+		}
+		if user < 0 && shard.Predictions > before {
+			user = u
+		}
+	}
+	if user < 0 {
+		t.Fatal("no warm-up user replays a delayed-release visit")
+	}
+	// Push every sketch through a compression so its centroid array has
+	// reached the size it keeps for good.
+	for _, sk := range []*stats.Sketch{shard.OrigTrans, shard.AwareTrans, shard.OrigVisitJ, shard.AwareVisitJ} {
+		for i := 0; i <= 2*fleetSketchBudget; i++ {
+			sk.Observe(1e6+float64(i), 1)
+		}
+	}
+	buf = rt.stream.UserVisitsRand(rng, user, buf[:0])
+	visits := len(buf)
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := rt.replayUserFolded(user, buf, &fs, &shard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("user %d: %d visits, %v allocs per replay", user, visits, allocs)
+	if allocs != 0 {
+		t.Fatalf("warmed folded replay allocates %v per user (%d visits), want 0", allocs, visits)
 	}
 }
 

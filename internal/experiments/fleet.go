@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"eabrowse/internal/browser"
@@ -14,11 +17,11 @@ import (
 	"eabrowse/internal/gbrt"
 	"eabrowse/internal/obs"
 	"eabrowse/internal/policy"
+	"eabrowse/internal/predictor"
 	"eabrowse/internal/rrc"
 	"eabrowse/internal/runner"
 	"eabrowse/internal/stats"
 	"eabrowse/internal/trace"
-	"eabrowse/internal/webpage"
 )
 
 // Fleet population and duration bounds, enforced by FleetConfig.Validate.
@@ -125,12 +128,14 @@ func (c FleetConfig) policyName() string {
 	return c.Policy
 }
 
-// fleetRadio is one resolved radio profile of the fleet: the spec that
-// mints phones, the precomputed tail its analytic cursors replay on, the
-// drain window that settles it between sessions, and the cumulative mix
-// weight used for the per-user draw (user u runs the first radio whose cum
-// exceeds the user's draw).
+// fleetRadio is one resolved radio profile of the fleet: its position in
+// the resolved list (the radio part of a template id), the spec that mints
+// phones, the precomputed tail its analytic cursors replay on, the drain
+// window that settles it between sessions, and the cumulative mix weight
+// used for the per-user draw (user u runs the first radio whose cum exceeds
+// the user's draw).
 type fleetRadio struct {
+	idx    int
 	name   string
 	spec   rrc.ModelSpec
 	tail   rrc.TailProfile
@@ -363,13 +368,16 @@ type userOutcome struct {
 // Two replay engines produce the numbers:
 //
 //   - Untraced runs use precomputed visit templates: each distinct (page,
-//     pipeline, radio-start-state) combination is simulated once on a real
-//     phone, and every further visit replays the cached load outcome with a
-//     closed-form radio walk through the reading window. This is exact up
-//     to floating-point association: the load evolution depends only on the
-//     template key (the first fetch disarms the inactivity timers at t=0),
-//     and between loads the radio follows the deterministic
-//     DCH→(T1)→FACH→(T2)→IDLE decay that the cursor mirrors.
+//     pipeline, radio profile, start stage, channel segment) combination is
+//     simulated once on a real phone, and every further visit replays the
+//     cached load outcome with a closed-form radio walk through the reading
+//     window. This is exact up to floating-point association: the load
+//     evolution depends only on the template key (the first fetch disarms
+//     the inactivity timers at t=0), and between loads the radio follows
+//     the deterministic DCH→(T1)→FACH→(T2)→IDLE decay that the cursor
+//     mirrors. The channel segment is the one exception — a load is held at
+//     the conditions of the segment it starts in (the epoch approximation,
+//     measured in EXPERIMENTS.md).
 //   - Tracing runs (obs enabled) simulate every phone in full so the event
 //     stream is complete; they agree with the template engine to
 //     floating-point tolerance and are meant for small fleets.
@@ -421,12 +429,6 @@ func newFleetRuntime(cfg FleetConfig) (*fleetRuntime, error) {
 		return nil, err
 	}
 
-	pool := stream.Pool()
-	pages := make(map[string]*webpage.Page, len(pool))
-	for i := range pool {
-		pages[pool[i].Name] = pool[i].Page
-	}
-
 	radios, err := cfg.fleetRadios()
 	if err != nil {
 		return nil, err
@@ -441,7 +443,7 @@ func newFleetRuntime(cfg FleetConfig) (*fleetRuntime, error) {
 	}
 	rt := &fleetRuntime{
 		stream:   stream,
-		pages:    pages,
+		pool:     stream.Pool(),
 		pred:     pred,
 		params:   policy.DefaultParams(),
 		device:   gbrt.DefaultDeviceCost(),
@@ -452,6 +454,7 @@ func newFleetRuntime(cfg FleetConfig) (*fleetRuntime, error) {
 		traced:   obs.Default() != nil,
 	}
 	rt.predVisitJ = rt.device.PredictionEnergyJ(pred.NumTrees())
+	rt.transThr = pred.SplitThresholds(features.TransmissionTime)
 	rt.acfg = policy.DefaultAdaptiveConfig(rt.params)
 	// The folded replay assumes a session-break drain always completes an
 	// in-flight forced release (true for every registered backend: the drain
@@ -477,6 +480,13 @@ func newFleetRuntime(cfg FleetConfig) (*fleetRuntime, error) {
 			rt.segScheds[i] = cs
 		}
 	}
+	for i := range radios {
+		radios[i].idx = i
+		rt.tmplStages = max(rt.tmplStages, radios[i].tail.NumStages())
+	}
+	rt.tmplSegs = len(rt.segScheds) + 1
+	rt.templates = make([]atomic.Pointer[visitTemplate],
+		len(rt.pool)*2*len(radios)*rt.tmplStages*rt.tmplSegs)
 	return rt, nil
 }
 
@@ -503,6 +513,9 @@ func (rt *fleetRuntime) runShards(cfg FleetConfig, lo, hi int) ([]FleetShardResu
 		rng := trace.NewUserRand(1) // reseeded per user
 		var visitBuf []trace.Visit
 		var fs foldState
+		if rt.folded {
+			fs.slot = make([]int32, len(rt.templates))
+		}
 		for u := shLo; u < shHi; u++ {
 			visitBuf = rt.stream.UserVisitsRand(rng, u, visitBuf[:0])
 			var o userOutcome
@@ -632,11 +645,12 @@ func FleetFromShards(cfg FleetConfig, outs []FleetShardResult) (*FleetResult, er
 // folded and per-visit engines through it).
 var fleetFoldOff bool
 
-// fleetRuntime is the read-only state shared by every shard.
+// fleetRuntime is the read-only state shared by every shard (apart from the
+// template table's first-use fills).
 type fleetRuntime struct {
 	stream     *trace.Stream
-	pages      map[string]*webpage.Page
-	pred       TrainedReadingPredictor
+	pool       []trace.PoolPage
+	pred       *predictor.Predictor
 	params     policy.Params
 	device     gbrt.DeviceCost
 	radios     []fleetRadio
@@ -657,10 +671,18 @@ type fleetRuntime struct {
 	adaptive  bool
 	acfg      policy.AdaptiveConfig
 
-	// templates caches one simulated visit per (page, mode, radio, start
-	// stage); sync.Map because shards race on first use. Duplicate builds
-	// are harmless: the build is deterministic, LoadOrStore keeps one winner.
-	templates sync.Map
+	// templates holds one simulated visit per template key, at the key's
+	// dense id (tmplID), filled on first use. Shards race on first use;
+	// duplicate builds are harmless because a build is a pure function of its
+	// key, so whichever CompareAndSwap wins stores the same template.
+	// tmplStages and tmplSegs are the start-stage and segment-slot extents of
+	// the id space.
+	templates  []atomic.Pointer[visitTemplate]
+	tmplStages int
+	tmplSegs   int
+	// transThr is the forest's split thresholds on the transmission-time
+	// feature, which delayed-release step tables are cut from.
+	transThr []float64
 }
 
 // radioMixDrawTag keys the per-user profile draw inside the trace seed's
@@ -683,18 +705,30 @@ func (rt *fleetRuntime) radioFor(u int) *fleetRadio {
 	return &rt.radios[len(rt.radios)-1]
 }
 
-// tmplKey identifies one distinct visit evolution. start is the tail-stage
-// index of the radio at load begin; inactivity-timer remainders don't
-// participate because the load's first fetch disarms them at t=0 (a
-// RELEASING start is handled as a shifted terminal-stage template, see
-// replayUserTemplated). seg is the channel segment the user's channel clock
-// is in at load start (-1 when the fleet runs without a channel).
+// tmplKey identifies one distinct visit evolution. page is the visit's pool
+// index and radio the fleetRadio's idx. start is the tail-stage index of the
+// radio at load begin; inactivity-timer remainders don't participate because
+// the load's first fetch disarms them at t=0 (a RELEASING start is handled
+// as a shifted terminal-stage template, see playLoad). seg is the channel
+// segment the user's channel clock is in at load start (-1 when the fleet
+// runs without a channel).
 type tmplKey struct {
-	page  string
+	page  int
 	mode  browser.Mode
-	radio string
+	radio int
 	start int
 	seg   int
+}
+
+// tmplID maps a key to its slot in the template table: a mixed-radix number
+// over (page, mode, radio, start, seg+1), so distinct keys never share a
+// slot and the table is as small as the key space.
+func (rt *fleetRuntime) tmplID(k tmplKey) int {
+	mode := 0
+	if k.mode == browser.ModeEnergyAware {
+		mode = 1
+	}
+	return (((k.page*2+mode)*len(rt.radios)+k.radio)*rt.tmplStages+k.start)*rt.tmplSegs + k.seg + 1
 }
 
 // visitTemplate is the cached outcome of simulating one visit's load.
@@ -711,30 +745,100 @@ type visitTemplate struct {
 	vec      features.Vector
 	predS    float64
 	switchOn bool
+	// delayed (energy-aware terminal-start templates only) is the prediction
+	// for the same load delayed behind an in-flight forced release.
+	delayed *delayedSteps
 	// fold is the precomputed piecewise-linear reading-walk table the
 	// counted-multiplicity replay folds visits through (fleet_fold.go).
 	fold *foldPlan
+	// id is the template's slot in the template table (fold accumulators
+	// are indexed by it).
+	id int32
 }
 
-func (rt *fleetRuntime) template(fr *fleetRadio, key tmplKey) (*visitTemplate, error) {
-	if v, ok := rt.templates.Load(key); ok {
-		return v.(*visitTemplate), nil
+// template returns the keyed template, building it on first use.
+func (rt *fleetRuntime) template(key tmplKey) (*visitTemplate, error) {
+	id := rt.tmplID(key)
+	if t := rt.templates[id].Load(); t != nil {
+		return t, nil
 	}
-	t, err := rt.buildTemplate(fr, key)
+	return rt.fillTemplate(key, id)
+}
+
+// fillTemplate is template's first-use path: build, publish, and return
+// whichever of the racing (identical) builds was published first.
+func (rt *fleetRuntime) fillTemplate(key tmplKey, id int) (*visitTemplate, error) {
+	t, err := rt.buildTemplate(key)
 	if err != nil {
 		return nil, err
 	}
-	actual, _ := rt.templates.LoadOrStore(key, t)
-	return actual.(*visitTemplate), nil
+	t.id = int32(id)
+	if !rt.templates[id].CompareAndSwap(nil, t) {
+		t = rt.templates[id].Load()
+	}
+	return t, nil
+}
+
+// delayedSteps tabulates the prediction for a load delayed by δ ∈ (0,
+// maxDelta] behind a forced release. The delay adds δ to the transmission
+// time feature and changes nothing else, and the forest's output is a step
+// function of that one feature (gbrt.Model.Thresholds), so the table holds
+// one prediction per threshold interval the delayed x can reach: predS[i]
+// covers x ≤ thr[0] for i = 0, thr[i-1] < x ≤ thr[i] after that, and x past
+// the last threshold at the end.
+type delayedSteps struct {
+	thr      []float64
+	predS    []float64
+	maxDelta time.Duration
+}
+
+// buildDelayedSteps cuts the table for feature vector vec out of the
+// forest's transmission-time thresholds, predicting each interval at its
+// upper threshold (or just above the last one), where the forest takes the
+// same branches as anywhere else in the interval.
+func (rt *fleetRuntime) buildDelayedSteps(vec features.Vector, maxDelta time.Duration) (*delayedSteps, error) {
+	all := rt.transThr
+	x0 := vec[features.TransmissionTime]
+	lo := sort.SearchFloat64s(all, x0+time.Nanosecond.Seconds())
+	hi := max(lo, sort.SearchFloat64s(all, x0+maxDelta.Seconds()))
+	d := &delayedSteps{thr: all[lo:hi], predS: make([]float64, hi-lo+1), maxDelta: maxDelta}
+	for i := lo; i <= hi; i++ {
+		v := vec
+		switch {
+		case i < len(all):
+			v[features.TransmissionTime] = all[i]
+		case len(all) > 0:
+			v[features.TransmissionTime] = math.Nextafter(all[len(all)-1], math.Inf(1))
+		}
+		p, err := rt.pred.PredictSeconds(v)
+		if err != nil {
+			return nil, err
+		}
+		d.predS[i-lo] = p
+	}
+	return d, nil
+}
+
+// delayedPredS returns the prediction for the template's load delayed by
+// delta: bit-identical to PredictSeconds on the template's vector with delta
+// added to its transmission time, which computes x the same way.
+func (t *visitTemplate) delayedPredS(delta time.Duration) (float64, error) {
+	d := t.delayed
+	if d == nil || delta <= 0 || delta > d.maxDelta {
+		return 0, fmt.Errorf("no delayed-load prediction for a %v delay", delta)
+	}
+	x := t.vec[features.TransmissionTime] + delta.Seconds()
+	return d.predS[sort.SearchFloat64s(d.thr, x)], nil
 }
 
 // buildTemplate simulates the keyed visit once on a real phone: prime the
 // radio into the start stage, load the page, and capture the load's energy,
 // transmission time and the radio state it leaves behind.
-func (rt *fleetRuntime) buildTemplate(fr *fleetRadio, key tmplKey) (*visitTemplate, error) {
-	page, ok := rt.pages[key.page]
-	if !ok || page == nil {
-		return nil, fmt.Errorf("no page body for %s", key.page)
+func (rt *fleetRuntime) buildTemplate(key tmplKey) (*visitTemplate, error) {
+	fr := &rt.radios[key.radio]
+	page := rt.pool[key.page].Page
+	if page == nil {
+		return nil, fmt.Errorf("no page body for %s", rt.pool[key.page].Name)
 	}
 	opts := []SessionOption{WithRadioModel(fr.spec)}
 	if key.mode == browser.ModeEnergyAware {
@@ -811,6 +915,11 @@ func (rt *fleetRuntime) buildTemplate(fr *fleetRadio, key tmplKey) (*visitTempla
 		t.vec = vec
 		t.predS = predS
 		t.switchOn = policy.Evaluate(time.Duration(predS*float64(time.Second)), rt.params).Switch
+		if key.start == tp.TerminalIndex() {
+			if t.delayed, err = rt.buildDelayedSteps(vec, tp.ReleaseDelay); err != nil {
+				return nil, err
+			}
+		}
 	}
 	t.fold = buildFoldPlan(t, key.mode, fr, rt.params.Alpha)
 	return t, nil
@@ -957,32 +1066,18 @@ func (rt *fleetRuntime) replayUserTemplated(u int, visits []trace.Visit, shard *
 		// operator timers. A RELEASING start never happens here (the stock
 		// pipeline never forces dormancy), but the shift handles it anyway.
 		origFrom := out.origJ
-		loadS, err := rt.playLoad(fr, &orig, browser.ModeOriginal, v.Page, seg, &out.origJ, shard.OrigTrans, nil)
+		ot, delta, err := rt.playLoad(fr, &orig, browser.ModeOriginal, int(v.Pool), seg, &out.origJ, shard.OrigTrans)
 		if err != nil {
 			return out, err
 		}
+		loadS := ot.loadS + delta.Seconds()
 		out.origJ += orig.advance(reading, tp)
 		shard.OrigVisitJ.Observe(out.origJ-origFrom, 1)
 
 		// Energy-aware pipeline: Algorithm 2.
 		awareFrom := out.awareJ
-		var predS float64
-		havePred := false
-		if _, err := rt.playLoad(fr, &aware, browser.ModeEnergyAware, v.Page, seg, &out.awareJ, shard.AwareTrans, func(t *visitTemplate, delta time.Duration) error {
-			if delta == 0 {
-				predS = t.predS
-				havePred = true
-				return nil
-			}
-			// A delayed (RELEASING-start) load stretches the measured
-			// transmission time, which is a predictor feature — re-predict.
-			vec := t.vec
-			vec[features.TransmissionTime] += delta.Seconds()
-			var err error
-			predS, err = rt.pred.PredictSeconds(vec)
-			havePred = err == nil
-			return err
-		}); err != nil {
+		at, delta, err := rt.playLoad(fr, &aware, browser.ModeEnergyAware, int(v.Pool), seg, &out.awareJ, shard.AwareTrans)
+		if err != nil {
 			return out, err
 		}
 		if reading <= alpha {
@@ -991,8 +1086,13 @@ func (rt *fleetRuntime) replayUserTemplated(u int, visits []trace.Visit, shard *
 			out.awareJ += aware.advance(reading, tp)
 		} else {
 			out.awareJ += aware.advance(alpha, tp)
-			if !havePred {
-				return out, fmt.Errorf("no prediction for %s", v.Page)
+			predS := at.predS
+			if delta > 0 {
+				// A delayed (RELEASING-start) load stretches the measured
+				// transmission time, which is a predictor feature.
+				if predS, err = at.delayedPredS(delta); err != nil {
+					return out, err
+				}
 			}
 			out.predictions++
 			out.predJ += rt.predVisitJ
@@ -1037,17 +1137,15 @@ func (rt *fleetRuntime) replayUserTemplated(u int, visits []trace.Visit, shard *
 	return out, nil
 }
 
-// playLoad replays one load on the cursor: resolve the template for the
-// cursor's stage (a RELEASING start reuses the terminal-stage template
-// shifted by the remaining release time δ — the queued active request waits
-// out the release, then evolves exactly as from idle), charge its energy,
-// file its transmission time, and leave the cursor in the load's end stage.
-// seg is the channel segment the load runs under (-1 without a channel).
-// onPredict (aware loads) receives the template and the shift. The return is
-// the load's wall-clock duration in seconds, shift included.
-func (rt *fleetRuntime) playLoad(fr *fleetRadio, pc *phoneCursor, mode browser.Mode, page string,
-	seg int, energyJ *float64, hist *stats.Sketch,
-	onPredict func(*visitTemplate, time.Duration) error) (float64, error) {
+// playLoad replays one load of pool page page on the cursor: resolve the
+// template for the cursor's stage (a RELEASING start reuses the
+// terminal-stage template shifted by the remaining release time δ — the
+// queued active request waits out the release, then evolves exactly as from
+// idle), charge its energy, file its transmission time, and leave the cursor
+// in the load's end stage. seg is the channel segment the load runs under
+// (-1 without a channel). It returns the template and the shift δ.
+func (rt *fleetRuntime) playLoad(fr *fleetRadio, pc *phoneCursor, mode browser.Mode, page int,
+	seg int, energyJ *float64, hist *stats.Sketch) (*visitTemplate, time.Duration, error) {
 
 	tp := &fr.tail
 	var delta time.Duration
@@ -1056,9 +1154,9 @@ func (rt *fleetRuntime) playLoad(fr *fleetRadio, pc *phoneCursor, mode browser.M
 		delta = pc.rem
 		start = tp.TerminalIndex()
 	}
-	t, err := rt.template(fr, tmplKey{page: page, mode: mode, radio: fr.name, start: start, seg: seg})
+	t, err := rt.template(tmplKey{page: page, mode: mode, radio: fr.idx, start: start, seg: seg})
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	transS := t.transS
 	*energyJ += t.radioJ + t.cpuJ
@@ -1069,12 +1167,7 @@ func (rt *fleetRuntime) playLoad(fr *fleetRadio, pc *phoneCursor, mode browser.M
 	hist.Observe(transS, 1)
 	pc.stage = t.endStage
 	pc.rem = t.endRem
-	if onPredict != nil {
-		if err := onPredict(t, delta); err != nil {
-			return 0, err
-		}
-	}
-	return t.loadS + delta.Seconds(), nil
+	return t, delta, nil
 }
 
 // replayUserTraced walks one user's visit sequence on two fully simulated
@@ -1123,8 +1216,8 @@ func (rt *fleetRuntime) replayUserTraced(user int, visits []trace.Visit, shard *
 	session := visits[0].Session
 	for i := range visits {
 		v := &visits[i]
-		page, ok := rt.pages[v.Page]
-		if !ok || page == nil {
+		page := rt.pool[v.Pool].Page
+		if page == nil {
 			return out, fmt.Errorf("no page body for %s", v.Page)
 		}
 		if v.Session != session {
@@ -1213,15 +1306,4 @@ func (rt *fleetRuntime) replayUserTraced(user int, visits []trace.Visit, shard *
 	out.origJ = orig.Radio.EnergyJ() + origCPUJ
 	out.awareJ = aware.Radio.EnergyJ() + awareCPUJ + out.predJ
 	return out, nil
-}
-
-// TrainedReadingPredictor is the slice of the predictor API Algorithm 2
-// needs; the fleet replay takes it as an interface so tests can stub the
-// model. Predictions stay per-visit rather than batched: each feature
-// vector comes from the load (or load template) just replayed, and the
-// release decision feeds back into the radio state of the following visits,
-// so there is no batch to precompute.
-type TrainedReadingPredictor interface {
-	PredictSeconds(v features.Vector) (float64, error)
-	NumTrees() int
 }

@@ -123,49 +123,73 @@ func TestFleetChannelParallelDeterminism(t *testing.T) {
 }
 
 // TestFleetChannelTracedMatchesTemplated cross-checks the two replay engines
-// under a channel on the steady-3g scenario, whose single segment makes the
-// template engine's epoch approximation exact: a load sees the same
-// conditions whether it is shaped segment-by-segment or against the full
-// schedule.
+// under a channel, for every built-in scenario and both policies. On
+// steady-3g, whose single segment makes the template engine's epoch
+// approximation exact, the engines agree to 1e-6. On the multi-segment
+// scenarios the template engine holds each load at the conditions of the
+// segment it starts in, while the traced engine shapes every transfer
+// against the full schedule, so energies and transmission times differ by
+// the approximation's error, which the test logs (EXPERIMENTS.md records
+// it). Visit, prediction and switch counts must agree exactly everywhere.
 func TestFleetChannelTracedMatchesTemplated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet replay is slow")
 	}
-	cfg := FleetConfig{Users: 6, HoursPerUser: 0.04, Seed: 13, Channel: "steady-3g", Policy: "adaptive"}
-	analytic, err := Fleet(cfg)
-	if err != nil {
-		t.Fatalf("templated Fleet: %v", err)
+	for _, tc := range []struct {
+		channel string
+		policy  string
+		pinned  bool // energies and transmission times pinned to 1e-6
+	}{
+		{"steady-3g", "adaptive", true},
+		{"steady-3g", "static", true},
+		{"fading", "static", false},
+		{"fading", "adaptive", false},
+		{"congestion-ramp", "static", false},
+		{"congestion-ramp", "adaptive", false},
+		{"cell-handover", "static", false},
+		{"cell-handover", "adaptive", false},
+		{"bursty-loss", "static", false},
+		{"bursty-loss", "adaptive", false},
+	} {
+		t.Run(tc.channel+"/"+tc.policy, func(t *testing.T) {
+			cfg := FleetConfig{Users: 6, HoursPerUser: 0.04, Seed: 13, Channel: tc.channel, Policy: tc.policy}
+			analytic, err := Fleet(cfg)
+			if err != nil {
+				t.Fatalf("templated Fleet: %v", err)
+			}
+			obs.Enable()
+			traced, err := Fleet(cfg)
+			obs.Disable()
+			if err != nil {
+				t.Fatalf("traced Fleet: %v", err)
+			}
+			if analytic.Visits != traced.Visits {
+				t.Errorf("visits: templated %d, traced %d", analytic.Visits, traced.Visits)
+			}
+			if analytic.Aware.Predictions != traced.Aware.Predictions {
+				t.Errorf("predictions: templated %d, traced %d",
+					analytic.Aware.Predictions, traced.Aware.Predictions)
+			}
+			if analytic.Aware.Switches != traced.Aware.Switches {
+				t.Errorf("switches: templated %d, traced %d",
+					analytic.Aware.Switches, traced.Aware.Switches)
+			}
+			relClose := func(name string, a, b float64) {
+				t.Helper()
+				scale := math.Max(math.Abs(a), math.Abs(b))
+				rel := 0.0
+				if scale > 0 {
+					rel = math.Abs(a-b) / scale
+				}
+				t.Logf("%s: templated %.9f, traced %.9f (rel err %.2e)", name, a, b, rel)
+				if tc.pinned && rel > 1e-6 {
+					t.Errorf("%s: rel err %.2e above 1e-6", name, rel)
+				}
+			}
+			relClose("original energy", analytic.Original.EnergyJ, traced.Original.EnergyJ)
+			relClose("aware energy", analytic.Aware.EnergyJ, traced.Aware.EnergyJ)
+			relClose("original mean trans", analytic.Original.MeanTransmissionS, traced.Original.MeanTransmissionS)
+			relClose("aware mean trans", analytic.Aware.MeanTransmissionS, traced.Aware.MeanTransmissionS)
+		})
 	}
-	obs.Enable()
-	defer obs.Disable()
-	traced, err := Fleet(cfg)
-	if err != nil {
-		t.Fatalf("traced Fleet: %v", err)
-	}
-	if analytic.Visits != traced.Visits {
-		t.Errorf("visits: templated %d, traced %d", analytic.Visits, traced.Visits)
-	}
-	if analytic.Aware.Predictions != traced.Aware.Predictions {
-		t.Errorf("predictions: templated %d, traced %d",
-			analytic.Aware.Predictions, traced.Aware.Predictions)
-	}
-	if analytic.Aware.Switches != traced.Aware.Switches {
-		t.Errorf("switches: templated %d, traced %d",
-			analytic.Aware.Switches, traced.Aware.Switches)
-	}
-	relClose := func(name string, a, b, tol float64) {
-		t.Helper()
-		scale := math.Max(math.Abs(a), math.Abs(b))
-		if scale == 0 {
-			return
-		}
-		if math.Abs(a-b)/scale > tol {
-			t.Errorf("%s: templated %.9f, traced %.9f (rel err %.2e)",
-				name, a, b, math.Abs(a-b)/scale)
-		}
-	}
-	relClose("original energy", analytic.Original.EnergyJ, traced.Original.EnergyJ, 1e-6)
-	relClose("aware energy", analytic.Aware.EnergyJ, traced.Aware.EnergyJ, 1e-6)
-	relClose("original mean trans", analytic.Original.MeanTransmissionS, traced.Original.MeanTransmissionS, 1e-6)
-	relClose("aware mean trans", analytic.Aware.MeanTransmissionS, traced.Aware.MeanTransmissionS, 1e-6)
 }

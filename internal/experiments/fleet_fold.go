@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"eabrowse/internal/browser"
-	"eabrowse/internal/features"
 	"eabrowse/internal/policy"
 	"eabrowse/internal/stats"
 	"eabrowse/internal/trace"
@@ -242,25 +241,24 @@ type tmplAgg struct {
 // foldState is a shard's fold accumulators, in template first-use order.
 // Shards replay their users sequentially, so the order — and therefore the
 // settle order and its floating-point association — is a pure function of
-// the shard, independent of worker or process count.
+// the shard, independent of worker or process count. slot maps a template
+// id to 1 + its accumulator's index (0: not touched yet by this shard); it
+// spans the runtime's whole template table.
 type foldState struct {
-	idx  map[*visitTemplate]int32
+	slot []int32
 	aggs []tmplAgg
 }
 
 func (fs *foldState) agg(t *visitTemplate) *tmplAgg {
-	if i, ok := fs.idx[t]; ok {
-		return &fs.aggs[i]
+	if i := fs.slot[t.id]; i > 0 {
+		return &fs.aggs[i-1]
 	}
-	if fs.idx == nil {
-		fs.idx = make(map[*visitTemplate]int32, 256)
-	}
-	fs.idx[t] = int32(len(fs.aggs))
 	fs.aggs = append(fs.aggs, tmplAgg{
 		t:    t,
 		n:    make([]int64, len(t.fold.cells)),
 		sumR: make([]float64, len(t.fold.cells)),
 	})
+	fs.slot[t.id] = int32(len(fs.aggs))
 	return &fs.aggs[len(fs.aggs)-1]
 }
 
@@ -295,8 +293,8 @@ func (rt *fleetRuntime) replayUserFolded(u int, visits []trace.Visit, fs *foldSt
 		}
 
 		// Original pipeline: never releases, so every visit folds.
-		ot, err := rt.template(fr, tmplKey{page: v.Page, mode: browser.ModeOriginal,
-			radio: fr.name, start: origStage, seg: seg})
+		ot, err := rt.template(tmplKey{page: int(v.Pool), mode: browser.ModeOriginal,
+			radio: fr.idx, start: origStage, seg: seg})
 		if err != nil {
 			return err
 		}
@@ -309,13 +307,13 @@ func (rt *fleetRuntime) replayUserFolded(u int, visits []trace.Visit, fs *foldSt
 
 		// Energy-aware pipeline.
 		if awareRel > 0 {
-			awareStage, awareRel, err = rt.replayExceptional(fr, v.Page, awareRel, reading, brk, seg, shard)
+			awareStage, awareRel, err = rt.replayExceptional(fr, int(v.Pool), awareRel, reading, brk, seg, shard)
 			if err != nil {
 				return err
 			}
 		} else {
-			at, err := rt.template(fr, tmplKey{page: v.Page, mode: browser.ModeEnergyAware,
-				radio: fr.name, start: awareStage, seg: seg})
+			at, err := rt.template(tmplKey{page: int(v.Pool), mode: browser.ModeEnergyAware,
+				radio: fr.idx, start: awareStage, seg: seg})
 			if err != nil {
 				return err
 			}
@@ -348,17 +346,18 @@ func observeVisitJ(sk *stats.Sketch, t *visitTemplate, ci int, rs, predVisitJ fl
 	sk.Observe(e, 1)
 }
 
-// replayExceptional replays one delayed-release energy-aware visit
-// per-visit: the pending release (remainder delta) stretches the load, the
-// stretched transmission time re-enters the predictor, and the cursor walks
-// the window for real. Mirrors replayUserTemplated's aware branch exactly.
-// Returns the stage (or release remainder) the next load starts from.
-func (rt *fleetRuntime) replayExceptional(fr *fleetRadio, page string, delta, reading time.Duration,
+// replayExceptional replays one delayed-release energy-aware visit of pool
+// page page per-visit: the pending release (remainder delta) stretches the
+// load, the stretched transmission time re-enters the predictor (through the
+// template's delayed-load step table), and the cursor walks the window for
+// real. Mirrors replayUserTemplated's aware branch exactly. Returns the
+// stage (or release remainder) the next load starts from.
+func (rt *fleetRuntime) replayExceptional(fr *fleetRadio, page int, delta, reading time.Duration,
 	brk bool, seg int, shard *FleetShardResult) (int, time.Duration, error) {
 
 	tp := &fr.tail
-	t, err := rt.template(fr, tmplKey{page: page, mode: browser.ModeEnergyAware,
-		radio: fr.name, start: tp.TerminalIndex(), seg: seg})
+	t, err := rt.template(tmplKey{page: page, mode: browser.ModeEnergyAware,
+		radio: fr.idx, start: tp.TerminalIndex(), seg: seg})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -370,9 +369,7 @@ func (rt *fleetRuntime) replayExceptional(fr *fleetRadio, page string, delta, re
 		e += pc.advance(reading, tp)
 	} else {
 		e += pc.advance(alpha, tp)
-		vec := t.vec
-		vec[features.TransmissionTime] += delta.Seconds()
-		predS, err := rt.pred.PredictSeconds(vec)
+		predS, err := t.delayedPredS(delta)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -455,8 +452,8 @@ func sumFoldPredJ(fs *foldState, rt *fleetRuntime) float64 {
 	return float64(n) * rt.predVisitJ
 }
 
-// foldPlanCheck is a build-time sanity hook used by tests to assert cell
-// layout invariants on arbitrary templates.
+// check asserts the plan's cell-layout invariants (tests run it over every
+// template a fleet builds).
 func (p *foldPlan) check() error {
 	for i := 1; i < len(p.bounds); i++ {
 		if p.bounds[i] < p.bounds[i-1] {

@@ -129,13 +129,19 @@ func TestFoldPlanInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	rt.templates.Range(func(_, v any) bool {
+	for i := range rt.templates {
+		tmpl := rt.templates[i].Load()
+		if tmpl == nil {
+			continue
+		}
 		n++
-		if err := v.(*visitTemplate).fold.check(); err != nil {
+		if int(tmpl.id) != i {
+			t.Errorf("template in slot %d carries id %d", i, tmpl.id)
+		}
+		if err := tmpl.fold.check(); err != nil {
 			t.Error(err)
 		}
-		return true
-	})
+	}
 	if n == 0 {
 		t.Fatal("no templates built")
 	}

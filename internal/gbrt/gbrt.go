@@ -3,6 +3,8 @@ package gbrt
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 )
 
@@ -201,4 +203,27 @@ func (m *Model) FeatureImportance() []float64 {
 		}
 	}
 	return imp
+}
+
+// Thresholds returns the distinct split thresholds the forest tests feature
+// f against, ascending. Every internal node sends x left exactly when
+// x[f] <= threshold, so with every other feature held fixed the model's
+// output is a step function of x[f]: constant on (-∞, t_0], on each
+// (t_{i-1}, t_i], and on (t_last, +∞). Evaluating Predict at any one point of
+// an interval — t_i itself is the natural representative — takes the same
+// branches, reaches the same leaves and sums them in the same order as any
+// other point of it, so the result is bit-identical. A NaN threshold sends
+// every x right and splits nothing, so it is omitted.
+func (m *Model) Thresholds(f int) []float64 {
+	var out []float64
+	for _, t := range m.trees {
+		for i := range t.nodes {
+			nd := &t.nodes[i]
+			if !nd.leaf && nd.feature == f && !math.IsNaN(nd.threshold) {
+				out = append(out, nd.threshold)
+			}
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }

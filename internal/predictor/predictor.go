@@ -165,6 +165,13 @@ func (p *Predictor) NumTrees() int {
 	return p.model.NumTrees()
 }
 
+// SplitThresholds returns the distinct thresholds the forest splits Table 1
+// feature f on, ascending (see gbrt.Model.Thresholds): with the other
+// features fixed, PredictSeconds is constant between consecutive ones.
+func (p *Predictor) SplitThresholds(f int) []float64 {
+	return p.model.Thresholds(f)
+}
+
 // FeatureImportance returns the forest's normalized split-gain importance
 // per Table 1 feature.
 func (p *Predictor) FeatureImportance() []float64 {

@@ -16,6 +16,7 @@ type visitRecord struct {
 	User           int       `json:"user"`
 	Session        int       `json:"session"`
 	Page           string    `json:"page"`
+	Pool           int32     `json:"pool"`
 	Features       []float64 `json:"features"`
 	ReadingSeconds float64   `json:"readingSeconds"`
 	Interested     bool      `json:"interested"`
@@ -35,6 +36,7 @@ func (d *Dataset) WriteVisits(w io.Writer) error {
 			User:           v.User,
 			Session:        v.Session,
 			Page:           v.Page,
+			Pool:           v.Pool,
 			Features:       v.Features.Slice(),
 			ReadingSeconds: v.ReadingSeconds,
 			Interested:     v.Interested,
@@ -71,6 +73,7 @@ func ReadVisits(r io.Reader) ([]Visit, error) {
 			User:           rec.User,
 			Session:        rec.Session,
 			Page:           rec.Page,
+			Pool:           rec.Pool,
 			Features:       vec,
 			ReadingSeconds: rec.ReadingSeconds,
 			Interested:     rec.Interested,

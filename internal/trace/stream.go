@@ -68,7 +68,8 @@ func (s *Stream) UserVisitsRand(rng *rand.Rand, u int, buf []Visit) []Visit {
 	for elapsed < budget {
 		pagesInSession := 3 + rng.Intn(10)
 		for p := 0; p < pagesInSession && elapsed < budget; p++ {
-			page := &s.pool[rng.Intn(len(s.pool))]
+			pi := rng.Intn(len(s.pool))
+			page := &s.pool[pi]
 			interested := engaged(rng, liked[page.Category])
 			reading := readingTime(rng, page, interested, userFactor)
 			if reading > cfg.CapSeconds {
@@ -79,6 +80,7 @@ func (s *Stream) UserVisitsRand(rng *rand.Rand, u int, buf []Visit) []Visit {
 				User:           u,
 				Session:        session,
 				Page:           page.Name,
+				Pool:           int32(pi),
 				Features:       page.Features,
 				ReadingSeconds: reading,
 				Interested:     interested,

@@ -51,6 +51,11 @@ type Visit struct {
 	// Interested reports the latent engagement state (not observable by the
 	// predictor; used by oracle experiments).
 	Interested bool
+	// Pool is the index of Page in the pool the visit was drawn from
+	// (Dataset.Pool, Stream.Pool), so per-page tables can be indexed densely
+	// instead of by name. An int32 beside Interested fills that field's
+	// padding, which keeps a Visit at 128 bytes on 64-bit platforms.
+	Pool int32
 }
 
 // Dataset is a full synthesized trace.
@@ -144,7 +149,8 @@ func Synthesize(cfg Config) (*Dataset, error) {
 		for elapsed < budget {
 			pagesInSession := 3 + rng.Intn(10)
 			for p := 0; p < pagesInSession && elapsed < budget; p++ {
-				page := &pool[rng.Intn(len(pool))]
+				pi := rng.Intn(len(pool))
+				page := &pool[pi]
 				interested := engaged(rng, liked[page.Category])
 				reading := readingTime(rng, page, interested, userFactor)
 				if reading > cfg.CapSeconds {
@@ -157,6 +163,7 @@ func Synthesize(cfg Config) (*Dataset, error) {
 					User:           u,
 					Session:        session,
 					Page:           page.Name,
+					Pool:           int32(pi),
 					Features:       page.Features,
 					ReadingSeconds: reading,
 					Interested:     interested,
