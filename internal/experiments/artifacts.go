@@ -37,7 +37,7 @@ type artifactStore struct {
 	// scenEvals caches the per-(scenario, radio) evaluators, whose segment
 	// cost tables are the expensive part.
 	scenTrace runner.Memo[*trace.Dataset]
-	scenEvals runner.KeyedMemo[scenEvalKey, *policy.ScenarioEvaluator]
+	scenEvals runner.KeyedMemo[scenEvalKey, *policy.Evaluator]
 }
 
 // scenEvalKey identifies one cached scenario evaluator.
@@ -149,9 +149,9 @@ func ScenarioTrace() (*trace.Dataset, error) {
 
 // scenarioEvaluator returns the shared (memoized) evaluator for one
 // scenario on one radio backend.
-func scenarioEvaluator(scenario string, spec rrc.ModelSpec) (*policy.ScenarioEvaluator, error) {
+func scenarioEvaluator(scenario string, spec rrc.ModelSpec) (*policy.Evaluator, error) {
 	return artifacts.scenEvals.Get(scenEvalKey{scenario, spec.Profile()},
-		func() (*policy.ScenarioEvaluator, error) {
+		func() (*policy.Evaluator, error) {
 			sched, err := channel.ScenarioSchedule(scenario)
 			if err != nil {
 				return nil, err
@@ -164,7 +164,7 @@ func scenarioEvaluator(scenario string, spec rrc.ModelSpec) (*policy.ScenarioEva
 			if err != nil {
 				return nil, err
 			}
-			return policy.NewScenarioEvaluator(ds, pred, policy.DefaultParams(), spec, sched)
+			return policy.NewEvaluator(ds, pred, policy.DefaultParams(), spec, sched)
 		})
 }
 

@@ -8,9 +8,8 @@ import (
 	"eabrowse/internal/capacity"
 	"eabrowse/internal/gbrt"
 	"eabrowse/internal/policy"
-	"eabrowse/internal/predictor"
+	"eabrowse/internal/rrc"
 	"eabrowse/internal/runner"
-	"eabrowse/internal/trace"
 	"eabrowse/internal/webpage"
 )
 
@@ -160,42 +159,6 @@ func Fig15() (*Fig15Result, error) {
 	return res, nil
 }
 
-// Fig15From runs the Fig. 15 evaluation on an existing dataset (bypassing
-// the artifact cache).
-func Fig15From(ds *trace.Dataset) (*Fig15Result, error) {
-	train, test, err := predictor.Split(ds.Visits, 0.3, 7)
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig15Result{TestVisits: len(test)}
-	for _, withInterest := range []bool{false, true} {
-		cfg := predictor.DefaultConfig()
-		cfg.UseInterestThreshold = withInterest
-		p, err := predictor.Train(train, cfg)
-		if err != nil {
-			return nil, err
-		}
-		a9, err := p.Evaluate(test, 9, withInterest)
-		if err != nil {
-			return nil, err
-		}
-		a20, err := p.Evaluate(test, 20, withInterest)
-		if err != nil {
-			return nil, err
-		}
-		if withInterest {
-			res.WithTp = a9.Pct()
-			res.WithTd = a20.Pct()
-		} else {
-			res.WithoutTp = a9.Pct()
-			res.WithoutTd = a20.Pct()
-		}
-	}
-	res.GainTp = res.WithTp - res.WithoutTp
-	res.GainTd = res.WithTd - res.WithoutTd
-	return res, nil
-}
-
 // Fig16Result is the six-case comparison of Fig. 16.
 type Fig16Result struct {
 	Cases []policy.CaseResult
@@ -214,29 +177,7 @@ func Fig16() (*Fig16Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev, err := policy.NewEvaluator(ds, pred, policy.DefaultParams())
-	if err != nil {
-		return nil, err
-	}
-	cases, err := ev.EvaluateAll()
-	if err != nil {
-		return nil, err
-	}
-	return &Fig16Result{Cases: cases}, nil
-}
-
-// Fig16From runs Fig. 16 on an existing dataset (bypassing the artifact
-// cache).
-func Fig16From(ds *trace.Dataset) (*Fig16Result, error) {
-	train, _, err := predictor.Split(ds.Visits, 0.3, 7)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := predictor.Train(train, predictor.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	ev, err := policy.NewEvaluator(ds, pred, policy.DefaultParams())
+	ev, err := policy.NewEvaluator(ds, pred, policy.DefaultParams(), rrc.DefaultConfig(), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -227,8 +227,8 @@ func binTraffic(records []netsim.Record) ([]Fig4Bin, float64) {
 		}
 		kbPerSec := float64(r.Bytes) / 1024 / dur
 		for b := int(s / binW); b < nBins; b++ {
-			lo := max64(s, float64(b)*binW)
-			hi := min64(e, float64(b+1)*binW)
+			lo := max(s, float64(b)*binW)
+			hi := min(e, float64(b+1)*binW)
 			if hi <= lo {
 				if float64(b)*binW > e {
 					break
@@ -239,18 +239,4 @@ func binTraffic(records []netsim.Record) ([]Fig4Bin, float64) {
 		}
 	}
 	return bins, end
-}
-
-func min64(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -72,15 +72,10 @@ func savingPct(orig, aware float64) float64 {
 	return (orig - aware) / orig * 100
 }
 
-// ComparePages loads every page under both pipelines on fresh phones,
+// ComparePagesTraced loads every page under both pipelines on fresh phones,
 // simulating reading seconds of reading time after each load, and averages.
 // The per-page loads run on the shared worker pool; outcomes are averaged in
-// page order, so the comparison is identical at any worker count.
-func ComparePages(label string, pages []*webpage.Page, reading time.Duration) (*BenchComparison, error) {
-	return ComparePagesTraced("", label, pages, reading)
-}
-
-// ComparePagesTraced is ComparePages with an observability namespace: when
+// page order, so the comparison is identical at any worker count. When
 // traceKey is non-empty, every session registers in the process-wide obs
 // collector under "<traceKey>/<mode>/<page>" (a no-op unless tracing is
 // enabled). Distinct experiments must pass distinct keys so an -exp all run

@@ -55,8 +55,8 @@ func ScenariosWithRadio(spec rrc.ModelSpec) (*ScenarioMatrix, error) {
 		staticJ := results[0].EnergyJ
 		for _, r := range results {
 			m.Rows = append(m.Rows, ScenarioRow{
-				Scenario:    r.Scenario,
-				Policy:      r.Policy.String(),
+				Scenario:    name,
+				Policy:      r.Case.String(),
 				EnergyJ:     r.EnergyJ,
 				DelayS:      r.DelayS,
 				SavingPct:   savingPct(staticJ, r.EnergyJ),

@@ -1,23 +1,28 @@
 package policy
 
 import (
+	"strings"
 	"testing"
 
+	"eabrowse/internal/channel"
 	"eabrowse/internal/gbrt"
 	"eabrowse/internal/predictor"
+	"eabrowse/internal/rrc"
 	"eabrowse/internal/trace"
 )
 
-// buildEvaluator synthesizes the trace, trains the predictor and prepares
-// the six-case evaluator once for the package.
+// The trace, the trained predictor and the Table 6 replay are built once
+// for the package.
 var (
+	sharedDS      *trace.Dataset
+	sharedPred    *predictor.Predictor
 	sharedResults []CaseResult
 )
 
-func caseResults(t *testing.T) []CaseResult {
+func trainedTrace(t *testing.T) (*trace.Dataset, *predictor.Predictor) {
 	t.Helper()
-	if sharedResults != nil {
-		return sharedResults
+	if sharedPred != nil {
+		return sharedDS, sharedPred
 	}
 	cfg := trace.DefaultConfig()
 	ds, err := trace.Synthesize(cfg)
@@ -34,7 +39,17 @@ func caseResults(t *testing.T) []CaseResult {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	ev, err := NewEvaluator(ds, pred, DefaultParams())
+	sharedDS, sharedPred = ds, pred
+	return ds, pred
+}
+
+func caseResults(t *testing.T) []CaseResult {
+	t.Helper()
+	if sharedResults != nil {
+		return sharedResults
+	}
+	ds, pred := trainedTrace(t)
+	ev, err := NewEvaluator(ds, pred, DefaultParams(), rrc.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatalf("NewEvaluator: %v", err)
 	}
@@ -58,11 +73,61 @@ func byCase(t *testing.T, results []CaseResult, c Case) CaseResult {
 }
 
 func TestEvaluatorValidation(t *testing.T) {
-	if _, err := NewEvaluator(nil, nil, DefaultParams()); err == nil {
-		t.Fatal("nil dataset accepted")
+	ds, pred := trainedTrace(t)
+	spec := rrc.DefaultConfig()
+	for _, tc := range []struct {
+		name string
+		ds   *trace.Dataset
+		pred *predictor.Predictor
+		spec rrc.ModelSpec
+	}{
+		{"nil dataset", nil, pred, spec},
+		{"empty dataset", &trace.Dataset{}, pred, spec},
+		{"nil predictor", ds, nil, spec},
+		{"nil radio spec", ds, pred, nil},
+	} {
+		if _, err := NewEvaluator(tc.ds, tc.pred, DefaultParams(), tc.spec, nil); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
-	if _, err := NewEvaluator(&trace.Dataset{}, nil, DefaultParams()); err == nil {
-		t.Fatal("empty dataset accepted")
+
+	// A visit to a page outside the pool is an error on the fixed link and
+	// under a channel schedule alike, not an index panic.
+	fading, err := channel.ScenarioSchedule("fading")
+	if err != nil {
+		t.Fatal(err)
+	}
+	known := ds.Visits[0]
+	known.Page = ds.Pool[0].Name
+	unknown := known
+	unknown.Page = "no-such-page"
+	small := &trace.Dataset{Pool: ds.Pool[:1], Visits: []trace.Visit{known, unknown}}
+	for _, sched := range []*channel.Schedule{nil, fading} {
+		ev, err := NewEvaluator(small, pred, DefaultParams(), spec, sched)
+		if err != nil {
+			t.Fatalf("NewEvaluator(sched %v): %v", sched != nil, err)
+		}
+		if _, err := ev.EvaluateAll(); err == nil || !strings.Contains(err.Error(), "no cost for page no-such-page") {
+			t.Errorf("sched %v: unknown page gave %v, want a no-cost error", sched != nil, err)
+		}
+		// Cases outside the table are rejected, not indexed.
+		if _, err := ev.Evaluate(Case(0)); err == nil {
+			t.Errorf("sched %v: Case(0) accepted", sched != nil)
+		}
+		if _, err := ev.Evaluate(Case(len(rules))); err == nil {
+			t.Errorf("sched %v: Case(%d) accepted", sched != nil, len(rules))
+		}
+		// Under a schedule only the energy-aware pipeline is loaded, so an
+		// original-browser case has no costs to replay; on the fixed link it
+		// reaches the visits.
+		want := "no cost for page"
+		if sched != nil {
+			want = "did not load"
+		}
+		if _, err := ev.Evaluate(CaseOrigAlwaysOff); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("sched %v: Evaluate(%v) gave %v, want an error containing %q",
+				sched != nil, CaseOrigAlwaysOff, err, want)
+		}
 	}
 }
 

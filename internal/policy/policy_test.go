@@ -55,6 +55,11 @@ func TestCaseString(t *testing.T) {
 		CasePredict9:      "Predict-9",
 		CaseAccurate20:    "Accurate-20",
 		CasePredict20:     "Predict-20",
+		PolicyStatic:      "static",
+		PolicyAdaptive:    "adaptive",
+		PolicyOracle:      "oracle",
+		Case(0):           "Case(0)",
+		PolicyOracle + 1:  "Case(11)",
 	}
 	for c, want := range names {
 		if got := c.String(); got != want {

@@ -103,17 +103,3 @@ func overlap(a0, a1, b0, b1 float64) float64 {
 	}
 	return hi - lo
 }
-
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}

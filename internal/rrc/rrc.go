@@ -398,13 +398,6 @@ func (m *Machine) Residency() map[State]time.Duration {
 	return out
 }
 
-// InactivityTimers reports the pending demotion deadlines: whether T1 (or
-// T2) is armed and the absolute virtual time it would fire. The fleet replay
-// uses this to fast-forward a radio analytically through idle periods.
-func (m *Machine) InactivityTimers() (t1At, t2At time.Duration, t1Armed, t2Armed bool) {
-	return m.t1Timer.Deadline(), m.t2Timer.Deadline(), m.t1Timer.Armed(), m.t2Timer.Armed()
-}
-
 // DCHHoldTime returns the cumulative time dedicated channels were held
 // (DCH plus the FACH→DCH promotion, during which the network has committed
 // the channels).

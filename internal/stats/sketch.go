@@ -53,9 +53,6 @@ func NewSketch(budget int) *Sketch {
 	return &Sketch{budget: budget}
 }
 
-// Budget returns the centroid budget the sketch was built with.
-func (s *Sketch) Budget() int { return s.budget }
-
 // N returns the total observation count.
 func (s *Sketch) N() int64 { return s.n }
 
