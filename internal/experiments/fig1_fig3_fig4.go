@@ -35,7 +35,7 @@ func Fig1() (*Fig1Result, error) {
 	meter.Start()
 	// Idle lead-in, then a 5-second transfer, then the timer decay.
 	clock.RunUntil(3 * time.Second)
-	radio.RequestDCH(func() {
+	radio.RequestActive(func() {
 		if err := radio.BeginTransfer(); err != nil {
 			return
 		}

@@ -144,13 +144,16 @@ type fleetRadio struct {
 	cum    float64
 }
 
+// newFleetRadio resolves one profile. Its drain spans the whole tail, or an
+// in-flight forced release if that is longer, plus a second, so a session
+// break always settles the radio: the folded replay relies on it.
 func newFleetRadio(spec rrc.ModelSpec) fleetRadio {
 	tail := spec.Tail()
 	return fleetRadio{
 		name:   spec.Profile(),
 		spec:   spec,
 		tail:   tail,
-		drain:  tail.TotalDwell() + time.Second,
+		drain:  max(tail.TotalDwell(), tail.ReleaseDelay) + time.Second,
 		weight: 1,
 		cum:    1,
 	}
@@ -456,16 +459,7 @@ func newFleetRuntime(cfg FleetConfig) (*fleetRuntime, error) {
 	rt.predVisitJ = rt.device.PredictionEnergyJ(pred.NumTrees())
 	rt.transThr = pred.SplitThresholds(features.TransmissionTime)
 	rt.acfg = policy.DefaultAdaptiveConfig(rt.params)
-	// The folded replay assumes a session-break drain always completes an
-	// in-flight forced release (true for every registered backend: the drain
-	// spans the whole tail plus a second). A backend violating that falls
-	// back to the per-visit engine rather than folding incorrectly.
 	rt.folded = !rt.traced && !rt.adaptive && !fleetFoldOff
-	for i := range radios {
-		if radios[i].tail.ReleaseDelay > radios[i].drain {
-			rt.folded = false
-		}
-	}
 	if sched != nil {
 		// One constant schedule per segment: a load replayed from a template
 		// sees the conditions of the segment its user's channel clock is in
@@ -658,8 +652,7 @@ type fleetRuntime struct {
 	predVisitJ float64
 	traced     bool
 	// folded selects the counted-multiplicity replay (fleet_fold.go): static
-	// policy, untraced, and every radio's release completes within a
-	// session-break drain.
+	// policy, untraced.
 	folded bool
 
 	// sched is the fleet's channel scenario (nil for a fixed link);

@@ -35,7 +35,8 @@ func (n *StateNames) sortedIdx() []int {
 
 // EnergyProbe samples the instrumented device's cumulative energy: radio
 // joules split by RRC state, plus total CPU joules. The browser engine
-// supplies one backed by rrc.Machine.EnergyVec and the CPU model.
+// supplies one backed by its radio's rrc.RadioModel.EnergyVec (any backend)
+// and the CPU model.
 type EnergyProbe func() (radioByStateJ EnergyVec, cpuJ float64)
 
 // PhaseEnergy is one closed phase of a load: the energy spent between two

@@ -135,7 +135,7 @@ func TestTailEnergyMatchesRRCMachine(t *testing.T) {
 		}
 		// Drive to DCH, run one instantaneous-ish transfer, then measure the
 		// tail window.
-		m.RequestDCH(func() {
+		m.RequestActive(func() {
 			if err := m.BeginTransfer(); err != nil {
 				t.Fatalf("BeginTransfer: %v", err)
 			}

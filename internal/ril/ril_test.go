@@ -24,7 +24,7 @@ func newRig(t *testing.T, opts ...Option) (*simtime.Clock, *rrc.Machine, *Interf
 
 func promoteToDCH(t *testing.T, clock *simtime.Clock, radio *rrc.Machine) {
 	t.Helper()
-	radio.RequestDCH(func() {})
+	radio.RequestActive(func() {})
 	clock.RunUntil(clock.Now() + radio.Config().PromoIdleToDCH)
 	if radio.State() != rrc.StateDCH {
 		t.Fatalf("setup: radio = %v, want DCH", radio.State())

@@ -4,10 +4,9 @@
 // chains: one active state at the top, a ladder of progressively cheaper
 // stable states below it, each with its own inactivity dwell, promotion
 // latency and promotion signaling cost. A ChainSpec is that ladder as data;
-// chainMachine executes it with the same event discipline as the UMTS
-// machine (lazily re-armed timers, prebound completion callbacks,
-// double-buffered waiter queue, exact piecewise-constant energy
-// integration) so pooled sessions stay allocation-free on any backend.
+// chainMachine runs it on the radioCore the UMTS machine also embeds
+// (core.go), adding only the one inactivity timer that walks the ladder, so
+// pooled sessions stay allocation-free on any backend.
 package rrc
 
 import (
@@ -191,33 +190,24 @@ func (c ChainSpec) Tail() TailProfile {
 
 // New builds a chain radio on the given clock, in the terminal idle state.
 func (c ChainSpec) New(clock *simtime.Clock, opts ...Option) (RadioModel, error) {
-	if clock == nil {
-		return nil, errors.New("rrc: nil clock")
-	}
-	if err := c.Validate(); err != nil {
+	if err := checkNew(clock, c); err != nil {
 		return nil, err
 	}
-	cm := &chainMachine{
-		clock:      clock,
-		spec:       c,
-		active:     c.active(),
-		promo:      c.promo(),
-		releasing:  c.releasing(),
-		state:      StateIdle,
-		lastChange: clock.Now(),
+	cm := &chainMachine{}
+	for i, st := range c.Stable {
+		cm.power[i+1] = st.PowerW
+		cm.promos[i+1] = promotion{via: c.promo(), latency: st.PromoLatency, lumpJ: st.PromoLumpJ}
+		cm.dwell[i+1] = st.Dwell
 	}
-	for i := 1; i < cm.spec.NumStates(); i++ {
-		cm.names[i] = c.StateName(State(i))
-	}
+	cm.power[c.promo()] = c.PromoPowerW
+	cm.power[c.releasing()] = c.ReleasePowerW
+	cm.txPower = c.TxPowerW
+	cm.active = c.active()
+	cm.releasing = c.releasing()
+	cm.releaseDelay = c.ReleaseDelay
+	cm.releaseLumpJ = c.ReleaseLumpJ
 	cm.demoteTimer = clock.NewTimer(cm.demoteExpired)
-	cm.promoFinishFn = cm.promoFinish
-	cm.releaseDoneFn = cm.releaseDone
-	var o options
-	for _, opt := range opts {
-		opt.apply(&o)
-	}
-	cm.recordTrace = o.recordTrace
-	cm.onTransition = o.onTransition
+	cm.init(clock, c, opts, cm.demoteTimer)
 	return cm, nil
 }
 
@@ -226,199 +216,20 @@ var (
 	_ RadioModel = (*chainMachine)(nil)
 )
 
-// chainMachine executes a ChainSpec. It mirrors the UMTS Machine's event
-// discipline exactly; see the package comment above.
+// chainMachine executes a ChainSpec on the shared radioCore, adding one
+// inactivity timer that walks the ladder down a rung per dwell.
 type chainMachine struct {
-	clock *simtime.Clock
-	spec  ChainSpec
-
-	active    State
-	promo     State
-	releasing State
-	// names caches the per-state labels so EnergyByState and error paths
-	// never rebuild strings.
-	names [MaxStates]string
-
-	state        State
-	transferring int
+	radioCore
 
 	// demoteTimer is the single inactivity timer: only the current stable
 	// state's dwell can be pending, so one lazily re-armed timer covers the
 	// whole ladder.
-	demoteTimer   *simtime.Timer
-	promoFinishFn func()
-	releaseDoneFn func()
-
-	waiters      []func()
-	spareWaiters []func()
-
-	lastChange    time.Duration
-	energyJ       float64
-	timeInState   [MaxStates]time.Duration
-	energyInState [MaxStates]float64
-
-	history      []Transition
-	recordTrace  bool
-	onTransition func(Transition)
-
-	// holdSince/holdTime track time with channels committed (active state
-	// plus promotions), the capacity model's service time.
-	holdSince time.Duration
-	holdTime  time.Duration
-}
-
-// Profile names the backend.
-func (cm *chainMachine) Profile() string { return cm.spec.Name }
-
-// NumStates is one past the highest state index this chain uses.
-func (cm *chainMachine) NumStates() int { return cm.spec.NumStates() }
-
-// StateName labels a state from the cached table.
-func (cm *chainMachine) StateName(s State) string {
-	if s >= 1 && int(s) < cm.spec.NumStates() {
-		return cm.names[s]
-	}
-	return fmt.Sprintf("State(%d)", int(s))
-}
-
-// StableState reports whether s is one of the chain's stable states.
-func (cm *chainMachine) StableState(s State) bool { return s >= 1 && s <= cm.active }
-
-// State returns the current state.
-func (cm *chainMachine) State() State { return cm.state }
-
-// Transferring reports whether user data is actively moving.
-func (cm *chainMachine) Transferring() bool { return cm.transferring > 0 }
-
-// RadioPower returns the instantaneous power draw in watts.
-func (cm *chainMachine) RadioPower() float64 {
-	switch {
-	case cm.state == cm.active:
-		if cm.transferring > 0 {
-			return cm.spec.TxPowerW
-		}
-		return cm.spec.Stable[cm.state-1].PowerW
-	case cm.state >= 1 && cm.state < cm.active:
-		return cm.spec.Stable[cm.state-1].PowerW
-	case cm.state == cm.promo:
-		return cm.spec.PromoPowerW
-	case cm.state == cm.releasing:
-		return cm.spec.ReleasePowerW
-	default:
-		return 0
-	}
-}
-
-// EnergyJ returns total radio energy so far, integrated exactly to now.
-func (cm *chainMachine) EnergyJ() float64 {
-	return cm.energyJ + cm.RadioPower()*sinceSeconds(cm.lastChange, cm.clock.Now())
-}
-
-// EnergyVec attributes EnergyJ to states without allocating.
-func (cm *chainMachine) EnergyVec() [MaxStates]float64 {
-	out := cm.energyInState
-	out[cm.state] += cm.RadioPower() * sinceSeconds(cm.lastChange, cm.clock.Now())
-	return out
-}
-
-// EnergyByState is the map form of EnergyVec, keyed by the cached names.
-func (cm *chainMachine) EnergyByState() map[string]float64 {
-	out := make(map[string]float64, cm.spec.NumStates())
-	for i, e := range cm.energyInState {
-		if e != 0 {
-			out[cm.names[i]] = e
-		}
-	}
-	out[cm.names[cm.state]] += cm.RadioPower() * sinceSeconds(cm.lastChange, cm.clock.Now())
-	return out
-}
-
-// TimeIn returns the cumulative time spent in state s, up to now.
-func (cm *chainMachine) TimeIn(s State) time.Duration {
-	if s < 0 || int(s) >= MaxStates {
-		return 0
-	}
-	d := cm.timeInState[s]
-	if cm.state == s {
-		d += cm.clock.Now() - cm.lastChange
-	}
-	return d
-}
-
-// Residency copies the cumulative residency of every visited state.
-func (cm *chainMachine) Residency() map[State]time.Duration {
-	out := make(map[State]time.Duration, cm.spec.NumStates())
-	for i, d := range cm.timeInState {
-		if d != 0 {
-			out[State(i)] = d
-		}
-	}
-	out[cm.state] += cm.clock.Now() - cm.lastChange
-	return out
-}
-
-// HoldTime is the cumulative time with channels committed to this radio.
-func (cm *chainMachine) HoldTime() time.Duration {
-	d := cm.holdTime
-	if cm.holdingActive() {
-		d += cm.clock.Now() - cm.holdSince
-	}
-	return d
+	demoteTimer *simtime.Timer
 }
 
 // NextDemotion reports the pending demotion deadline, if armed.
 func (cm *chainMachine) NextDemotion() (time.Duration, bool) {
 	return cm.demoteTimer.Deadline(), cm.demoteTimer.Armed()
-}
-
-// RequestActive asks for the active state and calls ready once reached.
-func (cm *chainMachine) RequestActive(ready func()) {
-	if ready == nil {
-		return
-	}
-	switch {
-	case cm.state == cm.active:
-		cm.clock.Defer(0, ready)
-	case cm.state == cm.promo || cm.state == cm.releasing:
-		// Queue; promotion completion (or the release completion's fresh
-		// promotion) will run it.
-		cm.waiters = append(cm.waiters, ready)
-	default: // a stable state below active
-		cm.waiters = append(cm.waiters, ready)
-		cm.demoteTimer.Disarm()
-		cm.startPromotionFrom(cm.state)
-	}
-}
-
-// startPromotionFrom begins a promotion from stable state s, charging its
-// lump signaling energy to the PROMO slot.
-func (cm *chainMachine) startPromotionFrom(s State) {
-	st := &cm.spec.Stable[s-1]
-	cm.energyJ += st.PromoLumpJ
-	cm.energyInState[cm.promo] += st.PromoLumpJ
-	cm.setState(cm.promo)
-	cm.clock.Defer(st.PromoLatency, cm.promoFinishFn)
-}
-
-// promoFinish completes a pending promotion; queued waiters run in arrival
-// order on the same double-buffered backing array as the UMTS machine.
-func (cm *chainMachine) promoFinish() {
-	cm.setState(cm.active)
-	cm.armDemote(cm.active)
-	waiters := cm.waiters
-	cm.waiters = cm.spareWaiters[:0]
-	for _, w := range waiters {
-		w()
-	}
-	for i := range waiters {
-		waiters[i] = nil
-	}
-	cm.spareWaiters = waiters[:0]
-}
-
-// armDemote arms the inactivity timer with stable state s's dwell.
-func (cm *chainMachine) armDemote(s State) {
-	cm.demoteTimer.Arm(cm.spec.Stable[s-1].Dwell)
 }
 
 // demoteExpired steps the radio one rung down the ladder and re-arms for
@@ -433,32 +244,8 @@ func (cm *chainMachine) demoteExpired() {
 	next := cm.state - 1
 	cm.setState(next)
 	if next > StateIdle {
-		cm.armDemote(next)
+		cm.demoteTimer.Arm(cm.dwell[next])
 	}
-}
-
-// BeginTransfer marks the start of a user-data transfer (active only).
-func (cm *chainMachine) BeginTransfer() error {
-	if cm.state != cm.active {
-		return fmt.Errorf("rrc: begin transfer in %v, need %s", cm.StateName(cm.state), cm.names[cm.active])
-	}
-	cm.accrue()
-	cm.transferring++
-	cm.demoteTimer.Disarm()
-	return nil
-}
-
-// EndTransfer marks the end of a transfer; the last one arms demotion.
-func (cm *chainMachine) EndTransfer() error {
-	if cm.state != cm.active || cm.transferring == 0 {
-		return fmt.Errorf("rrc: end transfer in %v with %d active", cm.StateName(cm.state), cm.transferring)
-	}
-	cm.accrue()
-	cm.transferring--
-	if cm.transferring == 0 {
-		cm.armDemote(cm.active)
-	}
-	return nil
 }
 
 // SharedReady reports false: DRX chains have no FACH-like shared channel.
@@ -466,100 +253,3 @@ func (cm *chainMachine) SharedReady() bool { return false }
 
 // TouchShared is a no-op on chain backends.
 func (cm *chainMachine) TouchShared() {}
-
-// ForceIdle releases the connection early (fast dormancy), with the same
-// busy rules as the UMTS machine.
-func (cm *chainMachine) ForceIdle() error {
-	if cm.state == StateIdle || cm.state == cm.releasing {
-		return nil
-	}
-	if cm.state == cm.promo {
-		return ErrBusy
-	}
-	if cm.transferring > 0 || len(cm.waiters) > 0 {
-		return ErrBusy
-	}
-	cm.demoteTimer.Disarm()
-	cm.energyJ += cm.spec.ReleaseLumpJ
-	cm.energyInState[cm.releasing] += cm.spec.ReleaseLumpJ
-	cm.setState(cm.releasing)
-	cm.clock.Defer(cm.spec.ReleaseDelay, cm.releaseDoneFn)
-	return nil
-}
-
-func (cm *chainMachine) releaseDone() {
-	if cm.state != cm.releasing {
-		return
-	}
-	cm.setState(StateIdle)
-	if len(cm.waiters) > 0 {
-		cm.startPromotionFrom(StateIdle)
-	}
-}
-
-// Tail describes this chain's demotion ladder.
-func (cm *chainMachine) Tail() TailProfile { return cm.spec.Tail() }
-
-// Reset returns the chain to a fresh terminal-idle radio at the clock's
-// current time. The owning session must Reset the shared clock first.
-func (cm *chainMachine) Reset() {
-	cm.state = StateIdle
-	cm.transferring = 0
-	cm.demoteTimer.Disarm()
-	cm.waiters = cm.waiters[:0]
-	cm.lastChange = cm.clock.Now()
-	cm.energyJ = 0
-	cm.timeInState = [MaxStates]time.Duration{}
-	cm.energyInState = [MaxStates]float64{}
-	cm.history = cm.history[:0]
-	cm.holdSince = 0
-	cm.holdTime = 0
-}
-
-// History returns recorded transitions (WithTransitionTrace only); a copy.
-func (cm *chainMachine) History() []Transition {
-	out := make([]Transition, len(cm.history))
-	copy(out, cm.history)
-	return out
-}
-
-// holdingActive reports whether channels are committed (active or PROMO).
-func (cm *chainMachine) holdingActive() bool {
-	return cm.state == cm.active || cm.state == cm.promo
-}
-
-func (cm *chainMachine) setState(next State) {
-	if next == cm.state {
-		return
-	}
-	wasHolding := cm.holdingActive()
-	cm.accrue()
-	tr := Transition{At: cm.clock.Now(), From: cm.state, To: next}
-	cm.state = next
-	nowHolding := cm.holdingActive()
-	switch {
-	case !wasHolding && nowHolding:
-		cm.holdSince = cm.clock.Now()
-	case wasHolding && !nowHolding:
-		cm.holdTime += cm.clock.Now() - cm.holdSince
-	}
-	if cm.recordTrace {
-		cm.history = append(cm.history, tr)
-	}
-	if cm.onTransition != nil {
-		cm.onTransition(tr)
-	}
-}
-
-// accrue integrates energy and residency up to now at the current power.
-func (cm *chainMachine) accrue() {
-	now := cm.clock.Now()
-	if now == cm.lastChange {
-		return
-	}
-	e := cm.RadioPower() * sinceSeconds(cm.lastChange, now)
-	cm.energyJ += e
-	cm.energyInState[cm.state] += e
-	cm.timeInState[cm.state] += now - cm.lastChange
-	cm.lastChange = now
-}

@@ -5,9 +5,8 @@
 // analytic replay consume instead of hardcoding DCH→FACH→IDLE), and the
 // registry of named profiles ("umts", "lte", "nr").
 //
-// The UMTS Machine in rrc.go is the first RadioModel implementation and the
-// reference for the contract; chain.go provides the table-driven LTE and
-// 5G NR backends.
+// Both implementations, the UMTS Machine in rrc.go and the table-driven LTE
+// and 5G NR chain in chain.go, run on the one accounting core in core.go.
 package rrc
 
 import (
@@ -61,15 +60,10 @@ type RadioModel interface {
 	EnergyJ() float64
 	// EnergyVec attributes EnergyJ to states without allocating.
 	EnergyVec() [MaxStates]float64
-	// EnergyByState is the map form of EnergyVec, keyed by StateName.
-	EnergyByState() map[string]float64
 	// TimeIn is the cumulative residency in state s, up to now.
 	TimeIn(State) time.Duration
 	// Residency copies the cumulative residency of every visited state.
 	Residency() map[State]time.Duration
-	// HoldTime is the cumulative time the network had channels committed to
-	// this radio (the capacity model's per-session service time).
-	HoldTime() time.Duration
 	// NextDemotion reports the pending inactivity-demotion deadline, if any
 	// timer is armed. The fleet replay uses it to fast-forward analytically.
 	NextDemotion() (at time.Duration, armed bool)
@@ -256,49 +250,6 @@ func (c Config) New(clock *simtime.Clock, opts ...Option) (RadioModel, error) {
 	}
 	return m, nil
 }
-
-// --- UMTS Machine as a RadioModel -------------------------------------------
-
-// Profile names the backend this machine implements.
-func (m *Machine) Profile() string { return "umts" }
-
-// NumStates is one past the highest state index this machine uses.
-func (m *Machine) NumStates() int { return NumStates }
-
-// StateName labels a UMTS state.
-func (m *Machine) StateName(s State) string { return s.String() }
-
-// StableState reports whether s is one of the three stable UMTS states.
-func (m *Machine) StableState(s State) bool { return s.Stable() }
-
-// RequestActive asks for the active (DCH) state; it is RequestDCH under the
-// backend-neutral name.
-func (m *Machine) RequestActive(ready func()) { m.RequestDCH(ready) }
-
-// SharedReady reports whether the FACH shared channel can carry small
-// transfers right now.
-func (m *Machine) SharedReady() bool { return m.state == StateFACH }
-
-// TouchShared records shared-channel activity (TouchFACH).
-func (m *Machine) TouchShared() { m.TouchFACH() }
-
-// HoldTime is DCHHoldTime under the backend-neutral name.
-func (m *Machine) HoldTime() time.Duration { return m.DCHHoldTime() }
-
-// NextDemotion reports the earlier of the pending T1/T2 deadlines. At most
-// one is armed at a time (T1 only in DCH, T2 only in FACH).
-func (m *Machine) NextDemotion() (time.Duration, bool) {
-	if m.t1Timer.Armed() {
-		return m.t1Timer.Deadline(), true
-	}
-	if m.t2Timer.Armed() {
-		return m.t2Timer.Deadline(), true
-	}
-	return 0, false
-}
-
-// Tail describes this machine's demotion chain.
-func (m *Machine) Tail() TailProfile { return m.cfg.Tail() }
 
 var (
 	_ RadioModel = (*Machine)(nil)

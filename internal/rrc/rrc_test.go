@@ -66,7 +66,7 @@ func TestConfigValidate(t *testing.T) {
 func TestPromotionFromIdle(t *testing.T) {
 	clock, m := newTestMachine(t)
 	ready := false
-	m.RequestDCH(func() { ready = true })
+	m.RequestActive(func() { ready = true })
 	if m.State() != StatePromoIdleDCH {
 		t.Fatalf("State = %v, want promo", m.State())
 	}
@@ -83,7 +83,7 @@ func TestPromotionFromIdle(t *testing.T) {
 func TestPromotionLatency(t *testing.T) {
 	clock, m := newTestMachine(t)
 	var readyAt time.Duration
-	m.RequestDCH(func() { readyAt = clock.Now() })
+	m.RequestActive(func() { readyAt = clock.Now() })
 	clock.RunUntil(m.Config().PromoIdleToDCH)
 	if readyAt != m.Config().PromoIdleToDCH {
 		t.Fatalf("DCH ready at %v, want %v", readyAt, m.Config().PromoIdleToDCH)
@@ -92,7 +92,7 @@ func TestPromotionLatency(t *testing.T) {
 
 func TestFACHPromotionFaster(t *testing.T) {
 	clock, m := newTestMachine(t)
-	m.RequestDCH(func() {})
+	m.RequestActive(func() {})
 	clock.RunUntil(m.Config().PromoIdleToDCH) // now DCH
 	clock.RunFor(m.Config().T1)               // demoted to FACH
 	if m.State() != StateFACH {
@@ -100,7 +100,7 @@ func TestFACHPromotionFaster(t *testing.T) {
 	}
 	start := clock.Now()
 	var readyAt time.Duration
-	m.RequestDCH(func() { readyAt = clock.Now() })
+	m.RequestActive(func() { readyAt = clock.Now() })
 	clock.RunFor(time.Second)
 	if got := readyAt - start; got != m.Config().PromoFACHToDCH {
 		t.Fatalf("FACH→DCH latency = %v, want %v", got, m.Config().PromoFACHToDCH)
@@ -109,7 +109,7 @@ func TestFACHPromotionFaster(t *testing.T) {
 
 func TestTimerChain(t *testing.T) {
 	clock, m := newTestMachine(t, WithTransitionTrace())
-	m.RequestDCH(func() {
+	m.RequestActive(func() {
 		if err := m.BeginTransfer(); err != nil {
 			t.Fatalf("BeginTransfer: %v", err)
 		}
@@ -145,7 +145,7 @@ func TestTimerChain(t *testing.T) {
 
 func TestTransferResetsT1(t *testing.T) {
 	clock, m := newTestMachine(t)
-	m.RequestDCH(func() {
+	m.RequestActive(func() {
 		mustBegin(t, m)
 		clock.After(time.Second, func() { mustEnd(t, m) })
 	})
@@ -178,7 +178,7 @@ func TestBeginTransferOutsideDCHFails(t *testing.T) {
 
 func TestEndTransferWithoutBeginFails(t *testing.T) {
 	clock, m := newTestMachine(t)
-	m.RequestDCH(func() {})
+	m.RequestActive(func() {})
 	clock.RunUntil(m.Config().PromoIdleToDCH)
 	if err := m.EndTransfer(); err == nil {
 		t.Fatal("EndTransfer without Begin succeeded")
@@ -187,7 +187,7 @@ func TestEndTransferWithoutBeginFails(t *testing.T) {
 
 func TestConcurrentTransfers(t *testing.T) {
 	clock, m := newTestMachine(t)
-	m.RequestDCH(func() {
+	m.RequestActive(func() {
 		mustBegin(t, m)
 		mustBegin(t, m)
 		clock.After(time.Second, func() { mustEnd(t, m) })
@@ -215,7 +215,7 @@ func TestConcurrentTransfers(t *testing.T) {
 
 func TestForceIdleFromFACH(t *testing.T) {
 	clock, m := newTestMachine(t)
-	m.RequestDCH(func() {})
+	m.RequestActive(func() {})
 	clock.RunUntil(m.Config().PromoIdleToDCH)
 	clock.RunFor(m.Config().T1) // now FACH
 	if err := m.ForceIdle(); err != nil {
@@ -232,7 +232,7 @@ func TestForceIdleFromFACH(t *testing.T) {
 
 func TestForceIdleWhileTransferringFails(t *testing.T) {
 	clock, m := newTestMachine(t)
-	m.RequestDCH(func() { mustBegin(t, m) })
+	m.RequestActive(func() { mustBegin(t, m) })
 	clock.RunUntil(m.Config().PromoIdleToDCH)
 	if err := m.ForceIdle(); !errors.Is(err, ErrBusy) {
 		t.Fatalf("ForceIdle during transfer = %v, want ErrBusy", err)
@@ -241,7 +241,7 @@ func TestForceIdleWhileTransferringFails(t *testing.T) {
 
 func TestForceIdleWhilePromotingFails(t *testing.T) {
 	_, m := newTestMachine(t)
-	m.RequestDCH(func() {})
+	m.RequestActive(func() {})
 	if err := m.ForceIdle(); !errors.Is(err, ErrBusy) {
 		t.Fatalf("ForceIdle during promo = %v, want ErrBusy", err)
 	}
@@ -259,7 +259,7 @@ func TestForceIdleWhenIdleIsNoop(t *testing.T) {
 
 func TestForceIdleChargesReleaseEnergy(t *testing.T) {
 	clock, m := newTestMachine(t)
-	m.RequestDCH(func() {})
+	m.RequestActive(func() {})
 	clock.RunUntil(m.Config().PromoIdleToDCH)
 	before := m.EnergyJ()
 	if err := m.ForceIdle(); err != nil {
@@ -273,13 +273,13 @@ func TestForceIdleChargesReleaseEnergy(t *testing.T) {
 
 func TestRequestDCHDuringRelease(t *testing.T) {
 	clock, m := newTestMachine(t)
-	m.RequestDCH(func() {})
+	m.RequestActive(func() {})
 	clock.RunUntil(m.Config().PromoIdleToDCH)
 	if err := m.ForceIdle(); err != nil {
 		t.Fatalf("ForceIdle: %v", err)
 	}
 	ready := false
-	m.RequestDCH(func() { ready = true })
+	m.RequestActive(func() { ready = true })
 	clock.RunFor(m.Config().ReleaseDelay + m.Config().PromoIdleToDCH)
 	if !ready {
 		t.Fatal("DCH request queued during release never served")
@@ -295,7 +295,7 @@ func TestRadioPowerByState(t *testing.T) {
 	if got := m.RadioPower(); got != cfg.PowerIdle {
 		t.Fatalf("idle power = %v, want %v", got, cfg.PowerIdle)
 	}
-	m.RequestDCH(func() {})
+	m.RequestActive(func() {})
 	if got := m.RadioPower(); got != cfg.PowerPromo {
 		t.Fatalf("promo power = %v, want %v", got, cfg.PowerPromo)
 	}
@@ -317,7 +317,7 @@ func TestRadioPowerByState(t *testing.T) {
 func TestEnergyIntegrationExact(t *testing.T) {
 	clock, m := newTestMachine(t)
 	cfg := m.Config()
-	m.RequestDCH(func() {
+	m.RequestActive(func() {
 		mustBegin(t, m)
 		clock.After(2*time.Second, func() { mustEnd(t, m) })
 	})
@@ -337,7 +337,7 @@ func TestEnergyIntegrationExact(t *testing.T) {
 func TestTimeInAccounting(t *testing.T) {
 	clock, m := newTestMachine(t)
 	cfg := m.Config()
-	m.RequestDCH(func() {
+	m.RequestActive(func() {
 		mustBegin(t, m)
 		clock.After(time.Second, func() { mustEnd(t, m) })
 	})
@@ -354,21 +354,6 @@ func TestTimeInAccounting(t *testing.T) {
 	}
 }
 
-func TestDCHHoldTime(t *testing.T) {
-	clock, m := newTestMachine(t)
-	cfg := m.Config()
-	m.RequestDCH(func() {
-		mustBegin(t, m)
-		clock.After(time.Second, func() { mustEnd(t, m) })
-	})
-	clock.Run()
-	// Holds during both promo and DCH until demotion to FACH.
-	want := cfg.PromoIdleToDCH + time.Second + cfg.T1
-	if got := m.DCHHoldTime(); got != want {
-		t.Fatalf("DCHHoldTime = %v, want %v", got, want)
-	}
-}
-
 func TestTransitionHook(t *testing.T) {
 	clock := simtime.NewClock()
 	var seen []State
@@ -378,7 +363,7 @@ func TestTransitionHook(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
 	}
-	m.RequestDCH(func() {})
+	m.RequestActive(func() {})
 	clock.Run()
 	want := []State{StatePromoIdleDCH, StateDCH, StateFACH, StateIdle}
 	if len(seen) != len(want) {
@@ -424,7 +409,7 @@ func TestStableStates(t *testing.T) {
 
 func TestRequestDCHNilCallback(t *testing.T) {
 	_, m := newTestMachine(t)
-	m.RequestDCH(nil) // must not panic or change state
+	m.RequestActive(nil) // must not panic or change state
 	if m.State() != StateIdle {
 		t.Fatalf("State = %v after nil request, want IDLE", m.State())
 	}
@@ -446,7 +431,7 @@ func mustEnd(t *testing.T, m *Machine) {
 
 func TestResidencySumsToElapsed(t *testing.T) {
 	clock, m := newTestMachine(t)
-	m.RequestDCH(func() {
+	m.RequestActive(func() {
 		mustBegin(t, m)
 		clock.After(2*time.Second, func() { mustEnd(t, m) })
 	})
@@ -473,13 +458,13 @@ func TestResidencySumsToElapsed(t *testing.T) {
 func TestEnergyByStateSumsToTotal(t *testing.T) {
 	clock, m := newTestMachine(t)
 	cfg := m.Config()
-	m.RequestDCH(func() {
+	m.RequestActive(func() {
 		mustBegin(t, m)
 		clock.After(2*time.Second, func() { mustEnd(t, m) })
 	})
 	clock.Run()
 	clock.RunFor(10 * time.Second)
-	byState := m.EnergyByState()
+	byState := m.EnergyVec()
 	var sum float64
 	for _, j := range byState {
 		if j < 0 {
@@ -488,16 +473,16 @@ func TestEnergyByStateSumsToTotal(t *testing.T) {
 		sum += j
 	}
 	if got := m.EnergyJ(); math.Abs(sum-got) > 1e-9 {
-		t.Fatalf("EnergyByState sums to %v, EnergyJ = %v", sum, got)
+		t.Fatalf("EnergyVec sums to %v, EnergyJ = %v", sum, got)
 	}
 	// The per-state split must carry the signaling lump in the promo bucket
 	// and the exact per-state integrals everywhere else.
 	wantPromo := cfg.PromoIdleSignalEnergy + cfg.PowerPromo*cfg.PromoIdleToDCH.Seconds()
-	if got := byState[StatePromoIdleDCH.String()]; math.Abs(got-wantPromo) > 1e-9 {
+	if got := byState[StatePromoIdleDCH]; math.Abs(got-wantPromo) > 1e-9 {
 		t.Fatalf("promo bucket = %v, want %v", got, wantPromo)
 	}
 	wantFACH := cfg.PowerFACH * cfg.T2.Seconds()
-	if got := byState[StateFACH.String()]; math.Abs(got-wantFACH) > 1e-9 {
+	if got := byState[StateFACH]; math.Abs(got-wantFACH) > 1e-9 {
 		t.Fatalf("FACH bucket = %v, want %v", got, wantFACH)
 	}
 }
@@ -507,7 +492,7 @@ func TestEnergyByStateIncludesCurrentPartial(t *testing.T) {
 	cfg := m.Config()
 	clock.RunFor(4 * time.Second) // sits in IDLE, no transition yet
 	want := cfg.PowerIdle * 4
-	if got := m.EnergyByState()[StateIdle.String()]; math.Abs(got-want) > 1e-9 {
+	if got := m.EnergyVec()[StateIdle]; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("IDLE bucket mid-state = %v, want %v", got, want)
 	}
 }
@@ -515,7 +500,7 @@ func TestEnergyByStateIncludesCurrentPartial(t *testing.T) {
 func TestEnergyByStateChargesReleaseLump(t *testing.T) {
 	clock, m := newTestMachine(t)
 	cfg := m.Config()
-	m.RequestDCH(func() {
+	m.RequestActive(func() {
 		mustBegin(t, m)
 		clock.After(time.Second, func() {
 			mustEnd(t, m)
@@ -529,7 +514,7 @@ func TestEnergyByStateChargesReleaseLump(t *testing.T) {
 	if m.State() != StateIdle {
 		t.Fatalf("expected IDLE after the release, got %v", m.State())
 	}
-	rel := m.EnergyByState()[StateReleasing.String()]
+	rel := m.EnergyVec()[StateReleasing]
 	wantMin := cfg.ReleaseSignalEnergy
 	if rel < wantMin {
 		t.Fatalf("RELEASING bucket = %v, want at least the %v signal lump", rel, wantMin)

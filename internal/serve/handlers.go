@@ -122,33 +122,6 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	return context.WithTimeout(r.Context(), timeout)
 }
 
-// decodeBody reads a size-capped JSON body into v, answering 400/413 itself.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return false
-	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return false
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "trailing data after JSON body")
-		return false
-	}
-	return true
-}
-
 // parseRadio validates an optional radio profile name, defaulting to UMTS.
 // Unknown names answer 400 with the valid-name list, mirroring the
 // benchmark-page errors.
@@ -443,7 +416,11 @@ func (s *Server) pageByName(name string) (*webpage.Page, error) {
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req simulateRequest
-	if !s.decodeBody(w, r, &req) {
+	sc := s.getScratch()
+	body, ok := s.readBody(w, r, sc)
+	ok = ok && decodeBodyBytes(w, body, &req)
+	s.putScratch(sc)
+	if !ok {
 		return
 	}
 	mode, ok := parseBrowserMode(w, req.Mode)

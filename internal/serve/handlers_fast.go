@@ -46,8 +46,7 @@ func (s *Server) fastGate(w http.ResponseWriter) bool {
 }
 
 // readBody reads the whole request body into sc.in, enforcing the method
-// and size contracts with the same statuses and messages as the legacy
-// decoder (405, 413).
+// and size contracts (405, 413) for every endpoint that takes a body.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, sc *scratch) ([]byte, bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -84,10 +83,9 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, sc *scratch) (
 	return buf, true
 }
 
-// decodeBodyBytes is the fallback decoder: encoding/json over the buffered
-// body with exactly the legacy decodeBody semantics (unknown fields and
-// trailing data are 400s with the same messages; the size cap was already
-// enforced by readBody).
+// decodeBodyBytes is the encoding/json decoder over a buffered body:
+// /v1/simulate's only decoder and the fast lane's fallback. Unknown fields
+// and trailing data are 400s; readBody already enforced the size cap.
 func decodeBodyBytes(w http.ResponseWriter, body []byte, v any) bool {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()

@@ -242,6 +242,8 @@ func TestBadRequests(t *testing.T) {
 			`{"page":"m.cnn.com","reading_s":-1}`, http.StatusBadRequest},
 		{"simulate absurd reading", "/v1/simulate", http.MethodPost,
 			`{"page":"m.cnn.com","reading_s":1e9}`, http.StatusBadRequest},
+		{"simulate huge body", "/v1/simulate", http.MethodPost,
+			`{"page":"m.cnn.com","reading_s":1}` + strings.Repeat(" ", 4096), http.StatusRequestEntityTooLarge},
 		{"reload GET", "/admin/reload", http.MethodGet, "", http.StatusMethodNotAllowed},
 	}
 	for _, tc := range cases {
