@@ -241,9 +241,9 @@ type calendar struct {
 // exactly one pending arrival and at most Channels departures are in flight,
 // so users+Channels nodes (and as much overflow) never run out, and a run
 // allocates nothing after this. A bucket is the power of two in ns at or
-// below 4·λ/users, about four arrivals wide, and the ring is the power-of-two
-// bucket count spanning at least 8λ, so only the e^-8 (0.03%) of arrivals
-// drawn that far ahead and departures longer than 8λ overflow.
+// below 4·λ/users, two to four mean arrival gaps wide, and the ring is the
+// power-of-two bucket count spanning at least 8λ, so only the e^-8 (0.03%)
+// of arrivals drawn that far ahead and departures longer than 8λ overflow.
 func newCalendar(users int, cfg Config) calendar {
 	n := users + cfg.Channels
 	q := calendar{

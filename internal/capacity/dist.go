@@ -124,17 +124,17 @@ func SimulateDist(users int, d *Dist, cfg Config) (Result, error) {
 
 // MaxSimulatedFleet is the largest population DropPercentAt walks
 // event-by-event. It matches the fleet-size ceiling that existed before the
-// million-user bound was raised, so every previously expressible
+// fleet bound was raised to 2M users, so every previously expressible
 // configuration still takes the simulated path and stays byte-identical.
 const MaxSimulatedFleet = 200_000
 
 // DropPercentAt returns the dropping probability (percent) for a population
 // of the given size. Populations up to MaxSimulatedFleet run the full
-// discrete-event simulation; beyond that the cost of walking hundreds of
-// millions of arrivals buys nothing — the Erlang-B formula is exact for
-// M/G/N/N loss systems regardless of the service-time shape (insensitivity
-// property), so larger populations are answered analytically from the
-// distribution's mean.
+// discrete-event simulation; beyond that, up to the 2M-user fleet bound, the
+// cost of walking hundreds of millions of arrivals buys nothing — the
+// Erlang-B formula is exact for M/G/N/N loss systems regardless of the
+// service-time shape (insensitivity property), so larger populations are
+// answered analytically from the distribution's mean.
 func DropPercentAt(users int, d *Dist, cfg Config) (float64, error) {
 	if users <= MaxSimulatedFleet {
 		r, err := SimulateDist(users, d, cfg)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"eabrowse/internal/browser"
+	"eabrowse/internal/runner"
 	"eabrowse/internal/stats"
 	"eabrowse/internal/trace"
 )
@@ -217,6 +218,28 @@ func BenchmarkFleetScale(b *testing.B) {
 	b.ReportMetric(float64(fleetScaleConfig.Users)/sec, "users_per_sec")
 	b.ReportMetric(float64(visits), "visits")
 	b.ReportMetric(float64(benchVmHWM())/1024, "peak_rss_mb")
+}
+
+// BenchmarkFleetFromShards times the fleet merge and capacity phase alone on
+// shards of fleetScaleConfig replayed once up front, at one pool worker (the
+// four capacity answers in series) and at two (run concurrently).
+func BenchmarkFleetFromShards(b *testing.B) {
+	outs, err := RunFleetShards(fleetScaleConfig, 0, FleetShardCount(fleetScaleConfig))
+	if err != nil {
+		b.Fatal(err)
+	}
+	prev := runner.Workers()
+	defer runner.SetWorkers(prev)
+	for _, workers := range []int{1, 2} {
+		b.Run("pool="+strconv.Itoa(workers), func(b *testing.B) {
+			runner.SetWorkers(workers)
+			for i := 0; i < b.N; i++ {
+				if _, err := FleetFromShards(fleetScaleConfig, outs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // benchVmHWM reads the process peak resident set (kB) from

@@ -599,34 +599,45 @@ func FleetFromShards(cfg FleetConfig, outs []FleetShardResult) (*FleetResult, er
 			res.Original.EnergyJ * 100
 	}
 
-	ccfg := capacity.DefaultConfig()
-	for _, side := range []struct {
-		stats  *FleetModeStats
-		sketch *stats.Sketch
-		visit  *stats.Sketch
-	}{{&res.Original, origTrans, origVisit}, {&res.Aware, awareTrans, awareVisit}} {
-		var dist capacity.Dist
-		for _, c := range side.sketch.Centroids() {
-			if err := dist.Add(c.V, c.N); err != nil {
+	sides := [2]*FleetModeStats{&res.Original, &res.Aware}
+	var dists [2]capacity.Dist
+	for s, sk := range [2]struct{ trans, visit *stats.Sketch }{
+		{origTrans, origVisit}, {awareTrans, awareVisit},
+	} {
+		for _, c := range sk.trans.Centroids() {
+			if err := dists[s].Add(c.V, c.N); err != nil {
 				return nil, err
 			}
 		}
 		// The sketch's mean is exact (compression never touches the running
 		// sum), so the reported hold time carries no sketch error.
-		side.stats.MeanTransmissionS = side.sketch.Mean()
-		supported, err := capacity.SupportedUsersDist(&dist, 2, ccfg)
-		if err != nil {
-			return nil, err
+		sides[s].MeanTransmissionS = sk.trans.Mean()
+		sides[s].VisitEnergyP50J = sk.visit.Quantile(0.50)
+		sides[s].VisitEnergyP95J = sk.visit.Quantile(0.95)
+		sides[s].VisitEnergyP99J = sk.visit.Quantile(0.99)
+	}
+	// The four capacity answers share no state: each call seeds its own rng
+	// from ccfg and only reads its side's Dist, so they run on the pool,
+	// longest first (the drop at fleet size walks the whole fleet's arrivals;
+	// the search stops near capacity, a few hundred users), each writing its
+	// own field. The tasks keep their errors in errs (so Map's is always
+	// nil), taken here in the serial order (original before aware, search
+	// before drop), so every pool size returns the same bytes and error.
+	ccfg := capacity.DefaultConfig()
+	var errs [4]error
+	_ = runner.Map(len(errs), func(i int) error {
+		st, d := sides[i%2], &dists[i%2]
+		if i < 2 {
+			st.DropPctAtFleet, errs[i] = capacity.DropPercentAt(cfg.Users, d, ccfg)
+		} else {
+			st.SupportedAt2Pct, errs[i] = capacity.SupportedUsersDist(d, 2, ccfg)
 		}
-		side.stats.SupportedAt2Pct = supported
-		atFleet, err := capacity.DropPercentAt(cfg.Users, &dist, ccfg)
-		if err != nil {
-			return nil, err
+		return nil
+	})
+	for _, i := range [4]int{2, 0, 3, 1} {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		side.stats.DropPctAtFleet = atFleet
-		side.stats.VisitEnergyP50J = side.visit.Quantile(0.50)
-		side.stats.VisitEnergyP95J = side.visit.Quantile(0.95)
-		side.stats.VisitEnergyP99J = side.visit.Quantile(0.99)
 	}
 	if res.Original.SupportedAt2Pct > 0 {
 		res.CapacityGainPct = float64(res.Aware.SupportedAt2Pct-res.Original.SupportedAt2Pct) /
