@@ -431,8 +431,9 @@ func BenchmarkGBRTTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkGBRTPredictBatch compares the tree-major batch walk against the
-// equivalent per-sample Predict loop on a fleet-sized evaluation batch.
+// BenchmarkGBRTPredictBatch compares PredictBatch against the equivalent
+// per-sample Predict loop on a fleet-sized evaluation batch: both evaluate
+// the same compiled forest per row, so the gap is the per-call overhead.
 func BenchmarkGBRTPredictBatch(b *testing.B) {
 	xs, ys := synthGBRTData(500, 10)
 	model, err := gbrt.Train(xs, ys, gbrt.Config{Trees: 400, MaxLeaves: 8, Shrinkage: 0.1, MinSamplesLeaf: 5})

@@ -3,8 +3,6 @@ package gbrt
 import (
 	"errors"
 	"fmt"
-	"math"
-	"slices"
 	"time"
 )
 
@@ -38,6 +36,8 @@ func (c Config) Validate() error {
 		return errors.New("gbrt: need at least one tree")
 	case c.MaxLeaves < 2:
 		return errors.New("gbrt: need at least two leaves per tree")
+	case c.MaxLeaves > maxTreeLeaves:
+		return fmt.Errorf("gbrt: at most %d leaves per tree", maxTreeLeaves)
 	case c.Shrinkage <= 0 || c.Shrinkage > 1:
 		return errors.New("gbrt: shrinkage must be in (0, 1]")
 	case c.MinSamplesLeaf < 1:
@@ -48,9 +48,12 @@ func (c Config) Validate() error {
 
 // Model is a trained gradient-boosted forest: F(x) = F0 + ν·Σ tree_m(x).
 type Model struct {
-	base        float64
-	shrink      float64
+	base   float64
+	shrink float64
+	// trees is the forest as trained or loaded; Save and FeatureImportance
+	// read it. qs is its compiled form, the one Predict evaluates.
 	trees       []*Tree
+	qs          forest
 	numFeatures int
 }
 
@@ -96,6 +99,9 @@ func Train(xs [][]float64, ys []float64, cfg Config) (*Model, error) {
 		// it was partitioned into — no per-sample tree walk.
 		tr.addTo(current, m.shrink)
 	}
+	if err := m.compile(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -104,17 +110,12 @@ func (m *Model) Predict(x []float64) (float64, error) {
 	if len(x) != m.numFeatures {
 		return 0, fmt.Errorf("gbrt: got %d features, model wants %d", len(x), m.numFeatures)
 	}
-	sum := m.base
-	for _, t := range m.trees {
-		sum += m.shrink * t.Predict(x)
-	}
-	return sum, nil
+	return m.predict(x), nil
 }
 
 // PredictBatch evaluates the model on len(xs) feature vectors, writing the
-// predictions into out (which must be the same length). The forest is walked
-// with the per-tree loop outermost, so each tree's nodes stay hot in cache
-// across the whole batch; per-sample results are bit-identical to Predict.
+// predictions into out (which must be the same length). Each row is one
+// Predict, so results are bit-identical to it.
 func (m *Model) PredictBatch(xs [][]float64, out []float64) error {
 	if len(out) != len(xs) {
 		return fmt.Errorf("gbrt: batch of %d inputs with %d outputs", len(xs), len(out))
@@ -124,12 +125,9 @@ func (m *Model) PredictBatch(xs [][]float64, out []float64) error {
 			return fmt.Errorf("gbrt: batch row %d has %d features, model wants %d",
 				i, len(x), m.numFeatures)
 		}
-		out[i] = m.base
 	}
-	for _, t := range m.trees {
-		for i, x := range xs {
-			out[i] += m.shrink * t.Predict(x)
-		}
+	for i, x := range xs {
+		out[i] = m.predict(x)
 	}
 	return nil
 }
@@ -213,17 +211,8 @@ func (m *Model) FeatureImportance() []float64 {
 // an interval — t_i itself is the natural representative — takes the same
 // branches, reaches the same leaves and sums them in the same order as any
 // other point of it, so the result is bit-identical. A NaN threshold sends
-// every x right and splits nothing, so it is omitted.
+// every x right and splits nothing, so it is omitted. Only nodes Predict can
+// reach are listed.
 func (m *Model) Thresholds(f int) []float64 {
-	var out []float64
-	for _, t := range m.trees {
-		for i := range t.nodes {
-			nd := &t.nodes[i]
-			if !nd.leaf && nd.feature == f && !math.IsNaN(nd.threshold) {
-				out = append(out, nd.threshold)
-			}
-		}
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	return m.qs.thresholds(f)
 }

@@ -15,6 +15,7 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"no trees", func(c *Config) { c.Trees = 0 }},
 		{"one leaf", func(c *Config) { c.MaxLeaves = 1 }},
+		{"65 leaves", func(c *Config) { c.MaxLeaves = maxTreeLeaves + 1 }},
 		{"zero shrinkage", func(c *Config) { c.Shrinkage = 0 }},
 		{"shrinkage > 1", func(c *Config) { c.Shrinkage = 1.5 }},
 		{"zero min leaf", func(c *Config) { c.MinSamplesLeaf = 0 }},

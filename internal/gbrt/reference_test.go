@@ -77,10 +77,10 @@ func refBuildTree(xs [][]float64, ys []float64, maxLeaves, minLeaf int, indexTie
 		b.nodes = append(b.nodes, treeNode{leaf: true, value: refMean(b.ys, best.rightIdx)})
 		nd := &b.nodes[best.node]
 		nd.leaf = false
-		nd.feature = best.feature
+		nd.feature = int32(best.feature)
 		nd.threshold = best.threshold
-		nd.left = li
-		nd.right = ri
+		nd.left = int32(li)
+		nd.right = int32(ri)
 		nd.gain = best.gain
 		open = append(open[:bestAt], open[bestAt+1:]...)
 		open = append(open,
@@ -198,5 +198,5 @@ func refTrain(xs [][]float64, ys []float64, cfg Config, indexTies bool) (*Model,
 			current[i] += m.shrink * tree.Predict(xs[i])
 		}
 	}
-	return m, nil
+	return m, m.compile()
 }

@@ -54,10 +54,10 @@ func (m *Model) Save(w io.Writer) error {
 		tj := treeJSON{Nodes: make([]nodeJSON, 0, len(t.nodes))}
 		for _, nd := range t.nodes {
 			tj.Nodes = append(tj.Nodes, nodeJSON{
-				Feature:   nd.feature,
+				Feature:   int(nd.feature),
 				Threshold: nd.threshold,
-				Left:      nd.left,
-				Right:     nd.right,
+				Left:      int(nd.left),
+				Right:     int(nd.right),
 				Value:     nd.value,
 				Leaf:      nd.leaf,
 				Gain:      nd.gain,
@@ -73,7 +73,8 @@ func (m *Model) Save(w io.Writer) error {
 }
 
 // Load reads a model previously written with Save, validating its structure
-// (node links in range, no cycles on the path down, finite values).
+// (node links in range, no cycles on the path down, finite values, at most
+// 64 leaves reachable per tree) and compiling it for Predict.
 func Load(r io.Reader) (*Model, error) {
 	var in modelJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -104,10 +105,10 @@ func Load(r io.Reader) (*Model, error) {
 				return nil, fmt.Errorf("gbrt: tree %d: %w", ti, err)
 			}
 			t.nodes = append(t.nodes, treeNode{
-				feature:   nj.Feature,
+				feature:   int32(nj.Feature),
 				threshold: nj.Threshold,
-				left:      nj.Left,
-				right:     nj.Right,
+				left:      int32(nj.Left),
+				right:     int32(nj.Right),
 				value:     nj.Value,
 				leaf:      nj.Leaf,
 				gain:      nj.Gain,
@@ -118,6 +119,9 @@ func Load(r io.Reader) (*Model, error) {
 		}
 		m.trees = append(m.trees, t)
 	}
+	if err := m.compile(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -125,6 +129,10 @@ func validateNode(nj nodeJSON, idx, total, numFeatures int) error {
 	if math.IsNaN(nj.Value) || math.IsInf(nj.Value, 0) ||
 		math.IsNaN(nj.Threshold) || math.IsInf(nj.Threshold, 0) {
 		return fmt.Errorf("node %d has non-finite values", idx)
+	}
+	if nj.Feature != int(int32(nj.Feature)) || nj.Left != int(int32(nj.Left)) ||
+		nj.Right != int(int32(nj.Right)) {
+		return fmt.Errorf("node %d has fields outside int32", idx)
 	}
 	if nj.Leaf {
 		return nil

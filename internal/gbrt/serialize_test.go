@@ -80,6 +80,10 @@ func TestLoadRejectsGarbage(t *testing.T) {
 			"trees":[{"nodes":[
 				{"feature":7,"threshold":1,"left":1,"right":2,"leaf":false},
 				{"leaf":true,"value":1},{"leaf":true,"value":2}]}]}`,
+		"child past int32": `{"version":1,"base":1,"shrinkage":0.1,"numFeatures":2,
+			"trees":[{"nodes":[{"leaf":true,"value":1,"right":4294967297}]}]}`,
+		"65 leaves":          modelJSONWith(chainNodes(64)),
+		"128 leaves by path": modelJSONWith(sharedChain(7)),
 	}
 	for name, payload := range cases {
 		t.Run(name, func(t *testing.T) {

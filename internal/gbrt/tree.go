@@ -25,17 +25,20 @@ import (
 	"sort"
 )
 
-// treeNode is one node of a regression tree, stored in a flat slice.
+// treeNode is one node of a regression tree, stored in a flat slice. The
+// index fields are int32 (Load rejects wider values) so a node is 40 bytes:
+// every model keeps its trees beside the compiled forest for Save and
+// FeatureImportance.
 type treeNode struct {
-	feature   int
 	threshold float64
-	left      int
-	right     int
 	value     float64
-	leaf      bool
 	// gain is the SSE reduction this split achieved at fit time (zero for
 	// leaves); it drives feature-importance accounting.
-	gain float64
+	gain    float64
+	feature int32
+	left    int32
+	right   int32
+	leaf    bool
 }
 
 // Tree is a binary regression tree.
@@ -59,30 +62,13 @@ func (t *Tree) Nodes() int {
 	return len(t.nodes)
 }
 
-// Predict returns the tree's output for the feature vector x.
-func (t *Tree) Predict(x []float64) float64 {
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	i := 0
-	for !t.nodes[i].leaf {
-		nd := t.nodes[i]
-		if x[nd.feature] <= nd.threshold {
-			i = nd.left
-		} else {
-			i = nd.right
-		}
-	}
-	return t.nodes[i].value
-}
-
 // Depth returns the maximum depth of the tree (a root-only tree has depth 1).
 func (t *Tree) Depth() int {
 	if len(t.nodes) == 0 {
 		return 0
 	}
-	var walk func(i int) int
-	walk = func(i int) int {
+	var walk func(i int32) int
+	walk = func(i int32) int {
 		nd := t.nodes[i]
 		if nd.leaf {
 			return 1
@@ -312,10 +298,10 @@ func (tr *trainer) buildTree(ys []float64, maxLeaves int) *Tree {
 		ranges = append(ranges, leafRange{lo: mid, hi: c.hi})
 		nd := &nodes[c.node]
 		nd.leaf = false
-		nd.feature = c.feature
+		nd.feature = int32(c.feature)
 		nd.threshold = c.threshold
-		nd.left = li
-		nd.right = ri
+		nd.left = int32(li)
+		nd.right = int32(ri)
 		nd.gain = c.gain
 
 		left := &splitCandidate{node: li, seq: seq + 1, lo: c.lo, hi: mid,

@@ -306,8 +306,8 @@ func (ev *Evaluator) EvaluateAll() ([]CaseResult, error) {
 // the comparison.
 //
 // For the prediction-driven cases every visit that survives the interest
-// threshold gets its reading time predicted; those forest walks are batched
-// up front (tree-major, cache-friendly) and consumed in visit order. The
+// threshold gets its reading time predicted; those predictions are made
+// up front in one batch and consumed in visit order. The
 // replay is strictly sequential in visit order, so results are
 // byte-identical at any worker count.
 func (ev *Evaluator) Evaluate(c Case) (CaseResult, error) {

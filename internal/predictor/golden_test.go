@@ -197,6 +197,17 @@ func FuzzLoadPredictor(f *testing.F) {
 			`{"leaf":true,"value":-1},{"leaf":true,"value":1}]}]}}`,
 			features.SchemaVersion, features.Num, th.alpha, th.tp, th.td, features.Num)))
 	}
+	// A forest whose root sends both branches to one shared split, with an
+	// unreachable split after it: the compiled forest walks it as a tree of
+	// four leaves and skips the stray node.
+	f.Add([]byte(fmt.Sprintf(`{"version":2,"featureSchema":%d,"numFeatures":%d,`+
+		`"alpha":2,"tp_s":4,"td_s":9,"interestTrained":true,"model":{"version":1,`+
+		`"base":3,"shrinkage":0.1,"numFeatures":%d,"trees":[{"nodes":[`+
+		`{"feature":0,"threshold":10,"left":1,"right":1},`+
+		`{"feature":8,"threshold":2000,"left":3,"right":4},`+
+		`{"feature":2,"threshold":-1,"left":3,"right":4},`+
+		`{"leaf":true,"value":-1},{"leaf":true,"value":1}]}]}}`,
+		features.SchemaVersion, features.Num, features.Num)))
 	probe := features.Vector{12, 340, 25, 4, 9, 120, 0.8, 3, 2800, 320}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := LoadPredictor(bytes.NewReader(data))

@@ -136,9 +136,10 @@ func (p *Predictor) PredictVecSeconds(v *features.Vector) (float64, error) {
 }
 
 // PredictBatchSeconds predicts reading times for many feature vectors at
-// once, writing into out (same length as vs). Batching walks the forest
-// tree-major, which keeps each tree hot in cache across the whole batch;
-// per-vector results are bit-identical to PredictSeconds.
+// once, writing into out (same length as vs). Each vector is one compiled
+// forest evaluation (gbrt.Model.PredictBatch), so per-vector results are
+// bit-identical to PredictSeconds; a batch saves the per-call checks and
+// call overhead, not forest work.
 func (p *Predictor) PredictBatchSeconds(vs []features.Vector, out []float64) error {
 	xs := make([][]float64, len(vs))
 	for i := range vs {
@@ -151,7 +152,8 @@ func (p *Predictor) PredictBatchSeconds(vs []features.Vector, out []float64) err
 // allocation: rows are read in place from vs and the row-pointer table is
 // built in scratch, which the caller reuses across calls (grow it once,
 // then every batch is allocation-free). It returns the possibly regrown
-// scratch; per-vector results are bit-identical to PredictSeconds.
+// scratch; per-vector results are bit-identical to PredictSeconds, as the
+// batch evaluates each row with the same compiled forest.
 func (p *Predictor) PredictBatchVecSeconds(vs []features.Vector, out []float64, scratch [][]float64) ([][]float64, error) {
 	scratch = scratch[:0]
 	for i := range vs {

@@ -178,8 +178,10 @@ type predictResult struct {
 }
 
 // predictCoreStripe is the steady-state hot path: one atomic model snapshot,
-// one in-place forest walk, one counter bump into the caller's stripe. Zero
-// allocations per op — the soak harness and TestPredictCoreZeroAllocs pin that.
+// one evaluation of the forest compiled at load (gbrt's bitvector layout,
+// scored on a stack array), one counter bump into the caller's stripe. Zero
+// allocations per op — the soak harness and TestPredictCoreZeroAllocs pin
+// that on the golden and the served-size model.
 func (s *Server) predictCoreStripe(vec *features.Vector, st *stripe) (predictResult, error) {
 	lm := s.model.current()
 	if lm == nil {

@@ -33,9 +33,9 @@ var decideModeNames = []string{"delay", "delay-driven", "power", "power-driven"}
 const maxBatchRows = 8192
 
 // fastGate is the fast lane's admission check: bounded work is guaranteed
-// by construction here — the body is size-capped, the compute is a fixed
-// forest walk — so admission is just "are we accepting", one atomic load,
-// plus in-flight accounting for /metrics.
+// by construction here — the body is size-capped, the compute is one pass
+// over the compiled forest per row — so admission is just "are we
+// accepting", one atomic load, plus in-flight accounting for /metrics.
 func (s *Server) fastGate(w http.ResponseWriter) bool {
 	if !s.accepting.Load() {
 		s.rejects.Add(1)

@@ -10,12 +10,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"eabrowse/internal/features"
+	"eabrowse/internal/gbrt"
 	"eabrowse/internal/predictor"
 	"eabrowse/internal/retry"
+	"eabrowse/internal/trace"
 )
 
 // goldenModelPath is the committed fixture trained by the predictor package's
@@ -581,40 +584,94 @@ func TestStartLoadsModelThroughRetry(t *testing.T) {
 	}
 }
 
+// servedModel is the model easerd -train-demo serves: gbrt.DefaultConfig's
+// 400 trees of 8 leaves on the synthetic trace, trained once per test binary
+// and kept as its saved bytes.
+var servedModel = sync.OnceValues(func() ([]byte, error) {
+	ds, err := trace.Synthesize(trace.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	train, _, err := predictor.Split(ds.Visits, 0.3, 20130709)
+	if err != nil {
+		return nil, err
+	}
+	p, err := predictor.Train(train, predictor.Config{
+		GBRT:                 gbrt.DefaultConfig(),
+		UseInterestThreshold: true,
+		Alpha:                2,
+	})
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	err = p.Save(&buf)
+	return buf.Bytes(), err
+})
+
+// coreModels are the forests the predict core is gated and timed on: the
+// 40-tree golden model and the 400-tree served size.
+func coreModels(tb testing.TB) map[string]string {
+	tb.Helper()
+	raw, err := servedModel()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	served := filepath.Join(tb.TempDir(), "served.json")
+	if err := os.WriteFile(served, raw, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	return map[string]string{"golden40": goldenModelPath, "served400": served}
+}
+
+// loadedServer builds an unstarted server serving the model at path.
+func loadedServer(tb testing.TB, path string) *Server {
+	tb.Helper()
+	s, err := New(Config{ModelPath: path})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := s.model.load(path); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 // TestPredictCoreZeroAllocs pins the serving hot path behind the HTTP and
-// queue layers at zero allocations per prediction.
+// queue layers at zero allocations per prediction, on both model sizes.
 func TestPredictCoreZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool; alloc gates hold only in normal builds")
 	}
-	s := newFastServer(t)
-	vec := probeVec
-	got := testing.AllocsPerRun(1000, func() {
-		if _, err := s.predictCore(&vec); err != nil {
-			t.Fatal(err)
+	for name, path := range coreModels(t) {
+		s := loadedServer(t, path)
+		vec := probeVec
+		got := testing.AllocsPerRun(1000, func() {
+			if _, err := s.predictCore(&vec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Fatalf("%s: predictCore allocates %v per prediction, want 0", name, got)
 		}
-	})
-	if got != 0 {
-		t.Fatalf("predictCore allocates %v per prediction, want 0", got)
 	}
 }
 
 // BenchmarkPredictCore measures the serving hot path behind the HTTP and
-// queue layers; TestPredictCoreZeroAllocs gates its allocations.
+// queue layers on the 40-tree golden model and the 400-tree served size;
+// TestPredictCoreZeroAllocs gates its allocations.
 func BenchmarkPredictCore(b *testing.B) {
-	s, err := New(Config{ModelPath: goldenModelPath})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := s.model.load(goldenModelPath); err != nil {
-		b.Fatal(err)
-	}
-	vec := probeVec
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.predictCore(&vec); err != nil {
-			b.Fatal(err)
-		}
+	models := coreModels(b)
+	for _, name := range []string{"golden40", "served400"} {
+		s := loadedServer(b, models[name])
+		b.Run(name, func(b *testing.B) {
+			vec := probeVec
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.predictCore(&vec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -71,3 +71,54 @@ func TestReadSingleRecord(t *testing.T) {
 		t.Fatalf("visit payload = %+v", v)
 	}
 }
+
+// FuzzReadVisits feeds arbitrary bytes to ReadVisits. It must return an
+// error or visits that hold the reader's invariants and survive a
+// WriteVisits round trip unchanged: the visits read back equal, and writing
+// them again gives the same bytes.
+//
+//	go test ./internal/trace -run=FuzzReadVisits -fuzz=FuzzReadVisits -fuzztime=20s
+func FuzzReadVisits(f *testing.F) {
+	f.Add([]byte(`{"user":3,"session":1,"page":"x","pool":2,"features":[1,2,3,4,5,6,7,8,9,10],"readingSeconds":12.5,"interested":true}`))
+	f.Add([]byte(`{"user":0,"session":0,"page":"p","features":[-0,1e300,5e-324,4,5,6,7,8,9,10],"readingSeconds":1e-300}` + "\n" +
+		`{"user":-1,"session":2,"page":"é` + "\xff" + `","features":[0,0,0,0,0,0,0,0,0,0],"readingSeconds":3}`))
+	f.Add([]byte(`{"user":0,"session":0,"page":"p","features":[1,2],"readingSeconds":5}`))
+	f.Add([]byte(`{"features":[1,2,3,4,5,6,7,8,9,10],"readingSeconds":1,"extra":[{}]} {}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		visits, err := ReadVisits(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(visits) == 0 {
+			t.Fatal("ReadVisits returned no visits and no error")
+		}
+		for i, v := range visits {
+			if !(v.ReadingSeconds > 0) {
+				t.Fatalf("visit %d: reading time %v accepted", i, v.ReadingSeconds)
+			}
+		}
+		var first bytes.Buffer
+		if err := (&Dataset{Visits: visits}).WriteVisits(&first); err != nil {
+			t.Fatalf("read visits do not write: %v", err)
+		}
+		again, err := ReadVisits(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("written visits do not read back: %v", err)
+		}
+		if len(again) != len(visits) {
+			t.Fatalf("round trip: %d visits became %d", len(visits), len(again))
+		}
+		for i := range visits {
+			if again[i] != visits[i] {
+				t.Fatalf("visit %d: %+v became %+v", i, visits[i], again[i])
+			}
+		}
+		var second bytes.Buffer
+		if err := (&Dataset{Visits: again}).WriteVisits(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("rewrite differs:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
+}
