@@ -361,7 +361,7 @@ func runFig1(p *printer) error {
 		if i%4 != 0 { // print at 1 s granularity
 			continue
 		}
-		fmt.Fprintf(p.w, "%6.1f  %s %.2f\n", s.At.Seconds(), bar(s.Watts, 2.0, 40), s.Watts)
+		fmt.Fprintf(p.w, "%6.1f  %s %.2f\n", s.At.Seconds(), report.Bar(s.Watts, 2.0, 40), s.Watts)
 	}
 	return nil
 }
@@ -406,7 +406,7 @@ func printBins(p *printer, bins []experiments.Fig4Bin) {
 		for j := i; j < i+4 && j < len(bins); j++ {
 			kb += bins[j].TrafficKB
 		}
-		fmt.Fprintf(p.w, "%6.1fs %s %.0f KB\n", b.StartS, bar(kb, 200, 40), kb)
+		fmt.Fprintf(p.w, "%6.1fs %s %.0f KB\n", b.StartS, report.Bar(kb, 200, 40), kb)
 	}
 }
 
@@ -448,7 +448,7 @@ func runFig7(p *printer) error {
 		if int(pt.Seconds)%4 != 0 {
 			continue
 		}
-		fmt.Fprintf(p.w, "%4.0fs %s %.0f%%\n", pt.Seconds, bar(pt.CumPct, 100, 40), pt.CumPct)
+		fmt.Fprintf(p.w, "%4.0fs %s %.0f%%\n", pt.Seconds, report.Bar(pt.CumPct, 100, 40), pt.CumPct)
 	}
 	return nil
 }
@@ -492,7 +492,7 @@ func runFig9(p *printer) error {
 			pa = res.Aware[i].Watts
 		}
 		fmt.Fprintf(p.w, "%5.1fs %s %.2f | %s %.2f\n",
-			float64(i)*0.25, bar(po, 2, 20), po, bar(pa, 2, 20), pa)
+			float64(i)*0.25, report.Bar(po, 2, 20), po, report.Bar(pa, 2, 20), pa)
 	}
 	return nil
 }
@@ -845,11 +845,6 @@ func runFleet(p *printer, opts benchOptions) error {
 	fmt.Fprintf(p.w, "fleet-wide energy saving %.1f%%, capacity gain at 2%% dropping %+.1f%%\n",
 		res.EnergySavingPct, res.CapacityGainPct)
 	return nil
-}
-
-// bar renders a crude horizontal bar for terminal plots.
-func bar(v, maxV float64, width int) string {
-	return report.Bar(v, maxV, width)
 }
 
 // attribution renders a pipeline's ledger split as "trans/layout/tail" joules.

@@ -42,10 +42,7 @@ import (
 	"strings"
 	"time"
 
-	"eabrowse/internal/gbrt"
-	"eabrowse/internal/predictor"
 	"eabrowse/internal/serve"
-	"eabrowse/internal/trace"
 )
 
 func main() {
@@ -263,7 +260,7 @@ func startInprocess() (func(), string, error) {
 	}
 	cleanupDir := func() { _ = os.RemoveAll(dir) }
 	modelPath := filepath.Join(dir, "model.json")
-	if err := trainDemoModel(modelPath); err != nil {
+	if _, _, _, err := serve.TrainDemoModel(modelPath); err != nil {
 		cleanupDir()
 		return nil, "", err
 	}
@@ -283,26 +280,4 @@ func startInprocess() (func(), string, error) {
 		cleanupDir()
 	}
 	return stop, srv.Addr(), nil
-}
-
-// trainDemoModel trains the paper's predictor on the synthetic dataset —
-// the same model easerd -train-demo produces.
-func trainDemoModel(path string) error {
-	ds, err := trace.Synthesize(trace.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	train, _, err := predictor.Split(ds.Visits, 0.3, 20130709)
-	if err != nil {
-		return err
-	}
-	p, err := predictor.Train(train, predictor.Config{
-		GBRT:                 gbrt.DefaultConfig(),
-		UseInterestThreshold: true,
-		Alpha:                2,
-	})
-	if err != nil {
-		return err
-	}
-	return p.SaveFile(path)
 }

@@ -33,10 +33,7 @@ import (
 	"syscall"
 	"time"
 
-	"eabrowse/internal/gbrt"
-	"eabrowse/internal/predictor"
 	"eabrowse/internal/serve"
-	"eabrowse/internal/trace"
 )
 
 func main() {
@@ -134,27 +131,11 @@ func flushMetrics(srv *serve.Server, path string) error {
 	return f.Close()
 }
 
-// trainDemoModel trains the paper's predictor configuration on the synthetic
-// dataset and saves it, so the curl cookbook is self-contained.
+// trainDemoModel trains and saves the demo predictor, so the curl cookbook
+// is self-contained, and reports its holdout accuracy.
 func trainDemoModel(path string) error {
-	ds, err := trace.Synthesize(trace.DefaultConfig())
+	p, train, test, err := serve.TrainDemoModel(path)
 	if err != nil {
-		return err
-	}
-	train, test, err := predictor.Split(ds.Visits, 0.3, 20130709)
-	if err != nil {
-		return err
-	}
-	cfg := predictor.Config{
-		GBRT:                 gbrt.DefaultConfig(),
-		UseInterestThreshold: true,
-		Alpha:                2,
-	}
-	p, err := predictor.Train(train, cfg)
-	if err != nil {
-		return err
-	}
-	if err := p.SaveFile(path); err != nil {
 		return err
 	}
 	acc, err := p.Evaluate(test, 0.5, true)

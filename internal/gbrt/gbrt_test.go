@@ -1,6 +1,7 @@
 package gbrt
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -462,5 +463,38 @@ func TestAllConstantFeatures(t *testing.T) {
 	b, _ := ref.Predict(probe)
 	if a != b {
 		t.Fatalf("constant-column model diverged: %v vs %v", a, b)
+	}
+}
+
+// TestThresholdMidpointOverflow trains on feature values whose sum exceeds
+// MaxFloat64: the split threshold must stay finite and between them, and
+// the model must survive a Save/Load round trip.
+func TestThresholdMidpointOverflow(t *testing.T) {
+	xs := [][]float64{{1e308}, {1e308}, {1.7e308}, {1.7e308}}
+	ys := []float64{0, 0, 1, 1}
+	m, err := Train(xs, ys, Config{Trees: 1, MaxLeaves: 2, Shrinkage: 0.1, MinSamplesLeaf: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := m.Thresholds(0)
+	if len(th) != 1 || math.IsInf(th[0], 0) || th[0] < 1e308 || th[0] >= 1.7e308 {
+		t.Fatalf("Thresholds(0) = %v, want one finite threshold in [1e308, 1.7e308)", th)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	back, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if got := back.Thresholds(0); len(got) != 1 || got[0] != th[0] {
+		t.Fatalf("round trip thresholds %v, want %v", got, th)
+	}
+	for _, x := range xs {
+		want, _ := m.Predict(x)
+		if got, err := back.Predict(x); err != nil || got != want {
+			t.Fatalf("round trip Predict(%v) = %v, %v; want %v", x, got, err, want)
+		}
 	}
 }

@@ -385,7 +385,13 @@ func (tr *trainer) findBest(c *splitCandidate) bool {
 				c.feature = f
 				c.slot = k
 				c.splitPos = nl
-				c.threshold = (tr.xs[col[pos]][f] + tr.xs[col[pos+1]][f]) / 2
+				lo, hi := tr.xs[col[pos]][f], tr.xs[col[pos+1]][f]
+				c.threshold = (lo + hi) / 2
+				if math.IsInf(c.threshold, 0) {
+					// lo+hi overflowed; halving first keeps the midpoint
+					// finite without moving any threshold that fits.
+					c.threshold = lo/2 + hi/2
+				}
 				c.gain = gain
 				c.leftSum = leftSum
 				c.leftSq = leftSq

@@ -3,11 +3,7 @@
 // examples.
 package report
 
-import (
-	"fmt"
-	"io"
-	"strings"
-)
+import "strings"
 
 // Bar renders a horizontal bar of the given width for v on a [0, maxV]
 // scale: filled with '#', padded with '.'. Values outside the scale clamp.
@@ -26,77 +22,4 @@ func Bar(v, maxV float64, width int) string {
 		n = width
 	}
 	return strings.Repeat("#", n) + strings.Repeat(".", width-n)
-}
-
-// Series is one labeled sequence of (x, y) samples.
-type Series struct {
-	Label string
-	X     []float64
-	Y     []float64
-}
-
-// TimeSeries renders a series as one bar row per sample, downsampled to at
-// most maxRows rows. maxY scales the bars; unit annotates the values.
-func TimeSeries(w io.Writer, s Series, maxY float64, width, maxRows int, unit string) error {
-	if len(s.X) != len(s.Y) {
-		return fmt.Errorf("report: series %q has %d x vs %d y", s.Label, len(s.X), len(s.Y))
-	}
-	if len(s.X) == 0 {
-		return fmt.Errorf("report: series %q is empty", s.Label)
-	}
-	if maxRows <= 0 {
-		maxRows = 40
-	}
-	step := 1
-	if len(s.X) > maxRows {
-		step = (len(s.X) + maxRows - 1) / maxRows
-	}
-	if s.Label != "" {
-		if _, err := fmt.Fprintf(w, "%s:\n", s.Label); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < len(s.X); i += step {
-		if _, err := fmt.Fprintf(w, "%8.1f %s %.2f%s\n",
-			s.X[i], Bar(s.Y[i], maxY, width), s.Y[i], unit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// BarGroupItem is one labeled value of a grouped bar chart.
-type BarGroupItem struct {
-	Label string
-	Value float64
-}
-
-// BarGroup renders labeled values against a shared scale, like one cluster
-// of a paper bar chart.
-func BarGroup(w io.Writer, title string, items []BarGroupItem, width int, unit string) error {
-	if len(items) == 0 {
-		return fmt.Errorf("report: bar group %q is empty", title)
-	}
-	maxV := items[0].Value
-	maxLabel := 0
-	for _, it := range items {
-		if it.Value > maxV {
-			maxV = it.Value
-		}
-		if len(it.Label) > maxLabel {
-			maxLabel = len(it.Label)
-		}
-	}
-	if title != "" {
-		if _, err := fmt.Fprintf(w, "%s:\n", title); err != nil {
-			return err
-		}
-	}
-	for _, it := range items {
-		if _, err := fmt.Fprintf(w, "  %-*s %s %.1f%s\n",
-			maxLabel, it.Label, Bar(it.Value, maxV, width), it.Value, unit); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,9 +1,6 @@
 package report
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestBar(t *testing.T) {
 	tests := []struct {
@@ -27,74 +24,5 @@ func TestBar(t *testing.T) {
 				t.Fatalf("Bar = %q, want %q", got, tt.want)
 			}
 		})
-	}
-}
-
-func TestTimeSeries(t *testing.T) {
-	var sb strings.Builder
-	s := Series{Label: "power", X: []float64{0, 1, 2}, Y: []float64{0.5, 1.0, 1.5}}
-	if err := TimeSeries(&sb, s, 2, 10, 40, "W"); err != nil {
-		t.Fatalf("TimeSeries: %v", err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "power:") {
-		t.Fatalf("missing label: %q", out)
-	}
-	if strings.Count(out, "\n") != 4 { // label + 3 rows
-		t.Fatalf("rows = %d, want 4: %q", strings.Count(out, "\n"), out)
-	}
-	if !strings.Contains(out, "1.50W") {
-		t.Fatalf("missing annotated value: %q", out)
-	}
-}
-
-func TestTimeSeriesDownsamples(t *testing.T) {
-	n := 100
-	s := Series{X: make([]float64, n), Y: make([]float64, n)}
-	for i := range s.X {
-		s.X[i] = float64(i)
-	}
-	var sb strings.Builder
-	if err := TimeSeries(&sb, s, 1, 10, 10, ""); err != nil {
-		t.Fatalf("TimeSeries: %v", err)
-	}
-	if rows := strings.Count(sb.String(), "\n"); rows > 12 {
-		t.Fatalf("downsampling failed: %d rows", rows)
-	}
-}
-
-func TestTimeSeriesValidation(t *testing.T) {
-	var sb strings.Builder
-	if err := TimeSeries(&sb, Series{X: []float64{1}, Y: nil}, 1, 10, 10, ""); err == nil {
-		t.Fatal("mismatched series accepted")
-	}
-	if err := TimeSeries(&sb, Series{}, 1, 10, 10, ""); err == nil {
-		t.Fatal("empty series accepted")
-	}
-}
-
-func TestBarGroup(t *testing.T) {
-	var sb strings.Builder
-	items := []BarGroupItem{
-		{Label: "original", Value: 80},
-		{Label: "energy-aware", Value: 55},
-	}
-	if err := BarGroup(&sb, "energy (J)", items, 20, "J"); err != nil {
-		t.Fatalf("BarGroup: %v", err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "original") || !strings.Contains(out, "energy-aware") {
-		t.Fatalf("missing labels: %q", out)
-	}
-	// The larger value fills the full width.
-	if !strings.Contains(out, strings.Repeat("#", 20)) {
-		t.Fatalf("max bar not full width: %q", out)
-	}
-}
-
-func TestBarGroupEmpty(t *testing.T) {
-	var sb strings.Builder
-	if err := BarGroup(&sb, "x", nil, 10, ""); err == nil {
-		t.Fatal("empty group accepted")
 	}
 }

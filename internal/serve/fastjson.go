@@ -5,8 +5,6 @@ import (
 	"math"
 	"strconv"
 	"unicode/utf8"
-
-	"eabrowse/internal/features"
 )
 
 // The fast JSON layer hand-rolls encoding and decoding for the fixed v1
@@ -14,17 +12,18 @@ import (
 // nothing. The contract that keeps it honest:
 //
 //   - Decoding: the fast parser accepts exactly the canonical shapes —
-//     known fields, plain strings, standard numbers. ANY deviation (unknown
-//     field, escape sequence, null, syntax error, out-of-range number,
-//     trailing data) returns errFallback and the handler re-runs the
-//     encoding/json path on the same buffered body, so error statuses and
-//     messages are byte-identical to the pre-fast-path service.
+//     known fields, plain ASCII strings, standard numbers. ANY deviation
+//     (unknown field, escape sequence, null, syntax error, out-of-range
+//     number, trailing data) returns errFallback, and the handler decodes
+//     the same buffered body with encoding/json instead. Either decoder
+//     only fills the request's values; one validate → core → encode tail
+//     per endpoint runs after both, so a request's status and bytes do not
+//     depend on how it was spelled.
 //   - Encoding: the appenders reproduce encoding/json's output bytes
 //     exactly (float formatting including the e-0X exponent cleanup,
 //     HTML-escaped strings, the Encoder's trailing newline); tests pin
-//     bit-identity over a golden corpus. Non-finite floats — which
-//     encoding/json cannot encode — make the appenders report failure and
-//     the handler falls back as well.
+//     bit-identity over a golden corpus. They take finite floats only: the
+//     cores refuse a non-finite prediction before anything is encoded.
 var errFallback = errors.New("serve: fast parser fallback")
 
 // --- decoding ---------------------------------------------------------------
@@ -57,8 +56,10 @@ func (p *fastParser) done() bool {
 	return p.i >= len(p.b)
 }
 
-// simpleString parses a string with no escapes or control characters,
-// returning the raw bytes between the quotes.
+// simpleString parses a plain-ASCII string with no escapes or control
+// characters, returning the raw bytes between the quotes. Anything else
+// falls back, so the bytes always equal what encoding/json would decode
+// (it rewrites invalid UTF-8, which an error message would echo).
 func (p *fastParser) simpleString() ([]byte, bool) {
 	p.ws()
 	if !p.eat('"') {
@@ -72,7 +73,7 @@ func (p *fastParser) simpleString() ([]byte, bool) {
 			p.i++
 			return s, true
 		}
-		if c == '\\' || c < 0x20 {
+		if c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
 			return nil, false
 		}
 		p.i++
@@ -210,255 +211,130 @@ func (p *fastParser) floatArray(out []float64) ([]float64, bool) {
 		}
 		out = append(out, f)
 		p.ws()
-		if p.eat(',') {
-			p.ws()
-			continue
-		}
-		if p.eat(']') {
-			return out, true
-		}
-		return out, false
-	}
-}
-
-// matchName resolves raw string bytes against a fixed name set without
-// allocating (string(b) == n compiles to an alloc-free comparison). The
-// empty string resolves to itself — callers apply their own default.
-func matchName(b []byte, names []string) (string, bool) {
-	if len(b) == 0 {
-		return "", true
-	}
-	for _, n := range names {
-		if string(b) == n {
-			return n, true
-		}
-	}
-	return "", false
-}
-
-// parseFastPredict parses {"features":[...], "radio":"..."} into feats
-// (reused storage) and a canonical radio name from names.
-func parseFastPredict(b []byte, feats []float64, names []string) ([]float64, string, error) {
-	p := fastParser{b: b}
-	radio := ""
-	p.ws()
-	if !p.eat('{') {
-		return feats, "", errFallback
-	}
-	p.ws()
-	if p.eat('}') {
-		return p.end(feats, radio)
-	}
-	for {
-		key, ok := p.key()
-		if !ok {
-			return feats, "", errFallback
-		}
-		switch {
-		case string(key) == "features":
-			p.ws()
-			if feats, ok = p.floatArray(feats[:0]); !ok {
-				return feats, "", errFallback
-			}
-		case string(key) == "radio":
-			rb, sok := p.simpleString()
-			if !sok {
-				return feats, "", errFallback
-			}
-			if radio, sok = matchName(rb, names); !sok {
-				return feats, "", errFallback
-			}
-		default:
-			return feats, "", errFallback
+		if !p.eat(',') {
+			return out, p.eat(']')
 		}
 		p.ws()
-		if p.eat(',') {
-			p.ws()
-			continue
-		}
-		if p.eat('}') {
-			return p.end(feats, radio)
-		}
-		return feats, "", errFallback
 	}
 }
 
-// end verifies nothing but whitespace trails the document (the legacy
-// decoder 400s on trailing data; the fallback reproduces that).
-func (p *fastParser) end(feats []float64, radio string) ([]float64, string, error) {
-	p.ws()
-	if p.i != len(p.b) {
-		return feats, "", errFallback
-	}
-	return feats, radio, nil
-}
-
-// parseFastDecide parses {"features":[...], "mode":"..."} returning the
-// canonical mode wire name ("" means default).
-func parseFastDecide(b []byte, feats []float64, modes []string) ([]float64, string, error) {
+// parseFastVector parses {"features":[...], "<nameKey>":"..."} — the
+// /v1/predict (nameKey "radio") and /v1/decide ("mode") bodies — into feats
+// (reused storage) and the raw bytes of the optional name, nil when absent.
+// Resolving the name is the handler's job, on either path.
+func parseFastVector(b []byte, feats []float64, nameKey string) ([]float64, []byte, error) {
 	p := fastParser{b: b}
-	mode := ""
+	var name []byte
 	p.ws()
 	if !p.eat('{') {
-		return feats, "", errFallback
+		return feats, nil, errFallback
 	}
 	p.ws()
-	if p.eat('}') {
-		return p.end(feats, mode)
-	}
-	for {
+	for closed := p.eat('}'); !closed; {
 		key, ok := p.key()
 		if !ok {
-			return feats, "", errFallback
+			return feats, nil, errFallback
 		}
-		switch {
-		case string(key) == "features":
-			p.ws()
-			if feats, ok = p.floatArray(feats[:0]); !ok {
-				return feats, "", errFallback
-			}
-		case string(key) == "mode":
-			mb, sok := p.simpleString()
-			if !sok {
-				return feats, "", errFallback
-			}
-			if mode, sok = matchName(mb, modes); !sok {
-				return feats, "", errFallback
-			}
+		switch string(key) {
+		case "features":
+			feats, ok = p.floatArray(feats[:0])
+		case nameKey:
+			name, ok = p.simpleString()
 		default:
-			return feats, "", errFallback
+			ok = false
 		}
-		p.ws()
-		if p.eat(',') {
-			p.ws()
-			continue
+		if !ok {
+			return feats, nil, errFallback
 		}
-		if p.eat('}') {
-			return p.end(feats, mode)
+		if closed, ok = p.next(); !ok {
+			return feats, nil, errFallback
 		}
-		return feats, "", errFallback
 	}
+	if !p.end() {
+		return feats, nil, errFallback
+	}
+	return feats, name, nil
+}
+
+// next follows an object member: after whitespace, a ',' continues the
+// object and a '}' closes it (closed); anything else is invalid.
+func (p *fastParser) next() (closed, valid bool) {
+	p.ws()
+	if p.eat(',') {
+		p.ws()
+		return false, true
+	}
+	return true, p.eat('}')
+}
+
+// end verifies nothing but whitespace trails the document (encoding/json
+// 400s on trailing data; the fallback reproduces that).
+func (p *fastParser) end() bool {
+	p.ws()
+	return p.i == len(p.b)
 }
 
 // parseFastBatch parses {"features":[[...],[...],...]} into sc.vecs (rows
 // beyond maxBatchRows are syntax-checked but not stored) and sc.rowLens
-// (every row's arity, for validation). Returns the row count.
+// (every row's arity, for validation). Returns the row count; a body
+// without the key is an empty batch, as encoding/json decodes it.
 func parseFastBatch(b []byte, sc *scratch) (int, error) {
 	p := fastParser{b: b}
-	rows := -1 // -1: no features key seen (legacy decodes that to a nil slice)
+	rows := 0
 	p.ws()
 	if !p.eat('{') {
 		return 0, errFallback
 	}
 	p.ws()
-	if p.eat('}') {
-		return p.endBatch(rows)
-	}
-	for {
+	for closed := p.eat('}'); !closed; {
 		key, ok := p.key()
-		if !ok {
+		if !ok || string(key) != "features" {
 			return 0, errFallback
 		}
-		if string(key) != "features" {
+		if rows, ok = p.rows(sc); !ok {
 			return 0, errFallback
 		}
-		sc.rowLens = sc.rowLens[:0]
-		rows = 0
-		p.ws()
-		if !p.eat('[') {
+		if closed, ok = p.next(); !ok {
 			return 0, errFallback
 		}
-		p.ws()
-		if !p.eat(']') {
-			for {
-				n, rok := p.row(sc, rows)
-				if !rok {
-					return 0, errFallback
-				}
-				sc.rowLens = append(sc.rowLens, n)
-				rows++
-				p.ws()
-				if p.eat(',') {
-					p.ws()
-					continue
-				}
-				if p.eat(']') {
-					break
-				}
-				return 0, errFallback
-			}
-		}
-		p.ws()
-		if p.eat(',') {
-			p.ws()
-			continue
-		}
-		if p.eat('}') {
-			return p.endBatch(rows)
-		}
-		return 0, errFallback
 	}
-}
-
-func (p *fastParser) endBatch(rows int) (int, error) {
-	p.ws()
-	if p.i != len(p.b) {
+	if !p.end() {
 		return 0, errFallback
-	}
-	if rows < 0 {
-		rows = 0
 	}
 	return rows, nil
 }
 
-// row parses one inner feature array into sc.vecs[idx] (when idx is under
-// the row cap), returning the row's arity.
-func (p *fastParser) row(sc *scratch, idx int) (int, bool) {
+// rows parses the outer features array row by row through sc.addRow.
+func (p *fastParser) rows(sc *scratch) (int, bool) {
+	sc.rowLens = sc.rowLens[:0]
+	p.ws()
 	if !p.eat('[') {
 		return 0, false
 	}
-	store := idx < maxBatchRows
-	if store {
-		for idx >= len(sc.vecs) {
-			sc.vecs = append(sc.vecs, features.Vector{})
-		}
-	}
-	n := 0
 	p.ws()
 	if p.eat(']') {
 		return 0, true
 	}
 	for {
-		f, ok := p.number()
-		if !ok {
+		var ok bool
+		if sc.feats, ok = p.floatArray(sc.feats[:0]); !ok {
 			return 0, false
 		}
-		if store && n < features.Num {
-			sc.vecs[idx][n] = f
-		}
-		n++
+		sc.addRow(sc.feats)
 		p.ws()
-		if p.eat(',') {
-			p.ws()
-			continue
+		if !p.eat(',') {
+			return len(sc.rowLens), p.eat(']')
 		}
-		if p.eat(']') {
-			return n, true
-		}
-		return 0, false
+		p.ws()
 	}
 }
 
 // --- encoding ---------------------------------------------------------------
 
-// appendJSONFloat appends f exactly as encoding/json encodes a float64
-// (shortest representation; 'e' form outside [1e-6, 1e21) with the e-0X
-// exponent shortened). Returns false for non-finite values, which
-// encoding/json refuses to encode — the caller falls back.
-func appendJSONFloat(b []byte, f float64) ([]byte, bool) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return b, false
-	}
+// appendJSONFloat appends a finite f exactly as encoding/json encodes a
+// float64 (shortest representation; 'e' form outside [1e-6, 1e21) with the
+// e-0X exponent shortened).
+func appendJSONFloat(b []byte, f float64) []byte {
 	abs := math.Abs(f)
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
@@ -471,7 +347,7 @@ func appendJSONFloat(b []byte, f float64) ([]byte, bool) {
 			b = b[:n-1]
 		}
 	}
-	return b, true
+	return b
 }
 
 const hexDigits = "0123456789abcdef"
@@ -526,29 +402,23 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// appendPredictResponse renders predictResponse exactly as
-// writeJSON/json.Encoder would, trailing newline included.
-func appendPredictResponse(b []byte, seconds float64, gen uint64, radio string) ([]byte, bool) {
+// appendPredictResponse renders predictResponse exactly as json.Encoder
+// would, trailing newline included.
+func appendPredictResponse(b []byte, seconds float64, gen uint64, radio string) []byte {
 	b = append(b, `{"reading_seconds":`...)
-	b, ok := appendJSONFloat(b, seconds)
-	if !ok {
-		return b, false
-	}
+	b = appendJSONFloat(b, seconds)
 	b = append(b, `,"model_generation":`...)
 	b = strconv.AppendUint(b, gen, 10)
 	b = append(b, `,"radio":`...)
 	b = appendJSONString(b, radio)
-	return append(b, '}', '\n'), true
+	return append(b, '}', '\n')
 }
 
 // appendDecideResponse renders decideResponse (field order matches the
 // struct, which is what encoding/json emits).
-func appendDecideResponse(b []byte, r *decideResponse) ([]byte, bool) {
+func appendDecideResponse(b []byte, r *decideResponse) []byte {
 	b = append(b, `{"reading_seconds":`...)
-	b, ok := appendJSONFloat(b, r.ReadingSeconds)
-	if !ok {
-		return b, false
-	}
+	b = appendJSONFloat(b, r.ReadingSeconds)
 	b = append(b, `,"switch":`...)
 	b = strconv.AppendBool(b, r.Switch)
 	b = append(b, `,"reason":`...)
@@ -556,31 +426,24 @@ func appendDecideResponse(b []byte, r *decideResponse) ([]byte, bool) {
 	b = append(b, `,"mode":`...)
 	b = appendJSONString(b, r.Mode)
 	b = append(b, `,"tp_s":`...)
-	if b, ok = appendJSONFloat(b, r.TpSeconds); !ok {
-		return b, false
-	}
+	b = appendJSONFloat(b, r.TpSeconds)
 	b = append(b, `,"td_s":`...)
-	if b, ok = appendJSONFloat(b, r.TdSeconds); !ok {
-		return b, false
-	}
+	b = appendJSONFloat(b, r.TdSeconds)
 	b = append(b, `,"model_generation":`...)
 	b = strconv.AppendUint(b, r.ModelGeneration, 10)
-	return append(b, '}', '\n'), true
+	return append(b, '}', '\n')
 }
 
 // appendBatchResponse renders batchResponse.
-func appendBatchResponse(b []byte, preds []float64, gen uint64) ([]byte, bool) {
+func appendBatchResponse(b []byte, preds []float64, gen uint64) []byte {
 	b = append(b, `{"reading_seconds":[`...)
 	for i, f := range preds {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		var ok bool
-		if b, ok = appendJSONFloat(b, f); !ok {
-			return b, false
-		}
+		b = appendJSONFloat(b, f)
 	}
 	b = append(b, `],"model_generation":`...)
 	b = strconv.AppendUint(b, gen, 10)
-	return append(b, '}', '\n'), true
+	return append(b, '}', '\n')
 }

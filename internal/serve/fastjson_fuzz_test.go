@@ -1,11 +1,16 @@
 package serve
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"eabrowse/internal/features"
+	"eabrowse/internal/policy"
 	"eabrowse/internal/rrc"
 )
 
@@ -50,12 +55,11 @@ func addFeatureSeeds(f *testing.F, bodies []string) {
 
 func FuzzFastPredict(f *testing.F) {
 	addFeatureSeeds(f, predictVariants)
-	names := rrc.Profiles()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		feats, radio, err := parseFastPredict(body, nil, names)
+		feats, radio, err := parseFastVector(body, nil, "radio")
 		if err != nil {
 			if err != errFallback {
-				t.Fatalf("parseFastPredict(%q): %v, want errFallback", body, err)
+				t.Fatalf("parseFastVector(%q, radio): %v, want errFallback", body, err)
 			}
 			return
 		}
@@ -63,7 +67,7 @@ func FuzzFastPredict(f *testing.F) {
 		if !legacyDecode(body, &req) {
 			t.Fatalf("fast parser accepted %q, encoding/json refuses it", body)
 		}
-		if !sameBits(feats, req.Features) || radio != req.Radio {
+		if !sameBits(feats, req.Features) || string(radio) != req.Radio {
 			t.Fatalf("%q: fast (%v, %q), encoding/json (%v, %q)",
 				body, feats, radio, req.Features, req.Radio)
 		}
@@ -73,10 +77,10 @@ func FuzzFastPredict(f *testing.F) {
 func FuzzFastDecide(f *testing.F) {
 	addFeatureSeeds(f, decideVariants)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		feats, mode, err := parseFastDecide(body, nil, decideModeNames)
+		feats, mode, err := parseFastVector(body, nil, "mode")
 		if err != nil {
 			if err != errFallback {
-				t.Fatalf("parseFastDecide(%q): %v, want errFallback", body, err)
+				t.Fatalf("parseFastVector(%q, mode): %v, want errFallback", body, err)
 			}
 			return
 		}
@@ -84,7 +88,7 @@ func FuzzFastDecide(f *testing.F) {
 		if !legacyDecode(body, &req) {
 			t.Fatalf("fast parser accepted %q, encoding/json refuses it", body)
 		}
-		if !sameBits(feats, req.Features) || mode != req.Mode {
+		if !sameBits(feats, req.Features) || string(mode) != req.Mode {
 			t.Fatalf("%q: fast (%v, %q), encoding/json (%v, %q)",
 				body, feats, mode, req.Features, req.Mode)
 		}
@@ -128,4 +132,141 @@ func FuzzFastBatch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzEndpoints are the prediction endpoints FuzzPredictEndpoints drives.
+var fuzzEndpoints = []string{"/v1/predict", "/v1/decide", "/v1/predict_batch"}
+
+// FuzzPredictEndpoints drives the prediction endpoints through the full
+// Handler and requires the status, Content-Type and body bytes to equal
+// referenceServe's for the same (endpoint, body).
+//
+//	go test ./internal/serve -run=FuzzPredictEndpoints -fuzz=FuzzPredictEndpoints -fuzztime=20s
+func FuzzPredictEndpoints(f *testing.F) {
+	for _, b := range predictVariants {
+		f.Add(uint8(0), []byte(b))
+	}
+	for _, b := range decideVariants {
+		f.Add(uint8(1), []byte(b))
+	}
+	for _, tc := range wireErrCases {
+		f.Add(uint8(slices.Index(fuzzEndpoints, tc.path)), []byte(tc.body))
+	}
+	for _, tc := range batchBadCases {
+		f.Add(uint8(2), []byte(tc.body))
+	}
+	s := newFastServer(f)
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
+		if int64(len(body)) > s.cfg.MaxBodyBytes {
+			return // readBody's 413 comes before any endpoint logic
+		}
+		path := fuzzEndpoints[int(endpoint)%len(fuzzEndpoints)]
+		got := httptest.NewRecorder()
+		h.ServeHTTP(got, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		want := referenceServe(s, path, body)
+		if got.Code != want.Code ||
+			got.Header().Get("Content-Type") != want.Header().Get("Content-Type") ||
+			!bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("%s %q:\n got %d %q %q\nwant %d %q %q", path, body,
+				got.Code, got.Header().Get("Content-Type"), got.Body.Bytes(),
+				want.Code, want.Header().Get("Content-Type"), want.Body.Bytes())
+		}
+	})
+}
+
+// referenceServe answers one prediction request on encoding/json alone:
+// decodeBodyBytes → parseFeatures → name check → core → json.Encoder, with
+// no fast parser or appender anywhere. It is the oracle the handlers match.
+func referenceServe(s *Server, path string, body []byte) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	st := &s.stripes[0]
+	switch path {
+	case "/v1/predict":
+		var req predictRequest
+		var vec features.Vector
+		if !decodeBodyBytes(w, body, &req) || !parseFeatures(w, req.Features, &vec) {
+			return w
+		}
+		radio := req.Radio
+		if radio == "" {
+			radio = "umts"
+		}
+		if _, err := rrc.ProfileSpec(radio); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return w
+		}
+		res, err := s.predictCoreStripe(&vec, st)
+		if err != nil {
+			s.writeWorkError(w, err)
+			return w
+		}
+		writeJSON(w, http.StatusOK, predictResponse{
+			ReadingSeconds: res.seconds, ModelGeneration: res.gen, Radio: radio,
+		})
+	case "/v1/decide":
+		var req decideRequest
+		var vec features.Vector
+		if !decodeBodyBytes(w, body, &req) || !parseFeatures(w, req.Features, &vec) {
+			return w
+		}
+		var mode policy.Mode
+		switch req.Mode {
+		case "", "delay", "delay-driven":
+			mode = policy.ModeDelay
+		case "power", "power-driven":
+			mode = policy.ModePower
+		default:
+			writeError(w, http.StatusBadRequest,
+				fmt.Sprintf("unknown mode %q (want \"delay\" or \"power\")", req.Mode))
+			return w
+		}
+		res, err := s.decideCoreStripe(&vec, mode, st)
+		if err != nil {
+			s.writeWorkError(w, err)
+			return w
+		}
+		writeJSON(w, http.StatusOK, decideResponse{
+			ReadingSeconds:  res.seconds,
+			Switch:          res.d.Switch,
+			Reason:          res.d.Reason,
+			Mode:            mode.String(),
+			TpSeconds:       res.tp.Seconds(),
+			TdSeconds:       res.td.Seconds(),
+			ModelGeneration: res.gen,
+		})
+	case "/v1/predict_batch":
+		var req batchRequest
+		if !decodeBodyBytes(w, body, &req) {
+			return w
+		}
+		switch n := len(req.Features); {
+		case n == 0:
+			writeError(w, http.StatusBadRequest, "empty batch: need at least one feature vector")
+			return w
+		case n > maxBatchRows:
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d vectors exceeds %d", n, maxBatchRows))
+			return w
+		}
+		for i, row := range req.Features {
+			if len(row) != features.Num {
+				writeError(w, http.StatusBadRequest, fmt.Sprintf(
+					"vector %d: need exactly %d features (Table 1 order), got %d", i, features.Num, len(row)))
+				return w
+			}
+		}
+		resp := batchResponse{ReadingSeconds: make([]float64, len(req.Features))}
+		for i, row := range req.Features {
+			var vec features.Vector
+			copy(vec[:], row)
+			res, err := s.predictCoreStripe(&vec, st)
+			if err != nil {
+				s.writeWorkError(w, err)
+				return w
+			}
+			resp.ReadingSeconds[i], resp.ModelGeneration = res.seconds, res.gen
+		}
+		writeJSON(w, http.StatusOK, resp)
+	}
+	return w
 }

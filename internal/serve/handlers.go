@@ -50,11 +50,11 @@ func (s *Server) Handler() http.Handler {
 		}()
 		switch r.URL.Path {
 		case "/v1/predict":
-			s.handlePredictFast(w, r)
+			s.serveFast(w, r, (*Server).predict)
 		case "/v1/decide":
-			s.handleDecideFast(w, r)
+			s.serveFast(w, r, (*Server).decide)
 		case "/v1/predict_batch":
-			s.handlePredictBatch(w, r)
+			s.serveFast(w, r, (*Server).predictBatch)
 		case "/v1/simulate":
 			s.handleSimulate(w, r)
 		case "/healthz":
@@ -122,18 +122,33 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	return context.WithTimeout(r.Context(), timeout)
 }
 
-// parseRadio validates an optional radio profile name, defaulting to UMTS.
+// parseRadio resolves an optional radio profile name to its registry
+// spelling, defaulting to UMTS, without allocating for a valid name.
 // Unknown names answer 400 with the valid-name list, mirroring the
 // benchmark-page errors.
-func parseRadio(w http.ResponseWriter, name string) (string, bool) {
-	if name == "" {
+func (s *Server) parseRadio(w http.ResponseWriter, name []byte) (string, bool) {
+	if len(name) == 0 {
 		return "umts", true
 	}
-	if _, err := rrc.ProfileSpec(name); err != nil {
+	for _, n := range s.radioNames {
+		if string(name) == n {
+			return n, true
+		}
+	}
+	if _, err := rrc.ProfileSpec(string(name)); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return "", false
 	}
-	return name, true
+	return string(name), true
+}
+
+// errNonFinite fails a request whose model predicts an infinite or NaN
+// reading time (a forest whose leaves overflow): JSON cannot carry the
+// number, so the answer is a 500, not a 200 without a body.
+var errNonFinite = errors.New("serve: model predicted a non-finite reading time")
+
+func finite(f float64) bool {
+	return !math.IsNaN(f) && !math.IsInf(f, 0)
 }
 
 // parseFeatures validates a request's feature array into a stack vector.
@@ -144,7 +159,7 @@ func parseFeatures(w http.ResponseWriter, raw []float64, vec *features.Vector) b
 		return false
 	}
 	for i, f := range raw {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
+		if !finite(f) {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("feature %d is not finite", i))
 			return false
 		}
@@ -181,7 +196,8 @@ type predictResult struct {
 // one evaluation of the forest compiled at load (gbrt's bitvector layout,
 // scored on a stack array), one counter bump into the caller's stripe. Zero
 // allocations per op — the soak harness and TestPredictCoreZeroAllocs pin
-// that on the golden and the served-size model.
+// that on the golden and the served-size model. A non-finite prediction is
+// errNonFinite.
 func (s *Server) predictCoreStripe(vec *features.Vector, st *stripe) (predictResult, error) {
 	lm := s.model.current()
 	if lm == nil {
@@ -191,14 +207,11 @@ func (s *Server) predictCoreStripe(vec *features.Vector, st *stripe) (predictRes
 	if err != nil {
 		return predictResult{}, err
 	}
+	if !finite(sec) {
+		return predictResult{}, errNonFinite
+	}
 	st.count(cPredict)
 	return predictResult{seconds: sec, gen: lm.gen}, nil
-}
-
-// predictCore keeps the pre-sharding signature for the soak harness and
-// benchmarks; callers without a scratch count into stripe 0.
-func (s *Server) predictCore(vec *features.Vector) (predictResult, error) {
-	return s.predictCoreStripe(vec, &s.stripes[0])
 }
 
 // --- /v1/decide ------------------------------------------------------------
@@ -228,7 +241,8 @@ type decideResult struct {
 }
 
 // decideCoreStripe runs Algorithm 2's decision rule on a fresh prediction,
-// using the thresholds that travel with the model file.
+// using the thresholds that travel with the model file. A non-finite
+// prediction is errNonFinite, checked before it becomes a Duration.
 func (s *Server) decideCoreStripe(vec *features.Vector, mode policy.Mode, st *stripe) (decideResult, error) {
 	lm := s.model.current()
 	if lm == nil {
@@ -237,6 +251,9 @@ func (s *Server) decideCoreStripe(vec *features.Vector, mode policy.Mode, st *st
 	sec, err := lm.pred.PredictVecSeconds(vec)
 	if err != nil {
 		return decideResult{}, err
+	}
+	if !finite(sec) {
+		return decideResult{}, errNonFinite
 	}
 	th := lm.pred.Thresholds()
 	d := policy.Evaluate(time.Duration(sec*float64(time.Second)), policy.Params{
@@ -252,9 +269,10 @@ func (s *Server) decideCoreStripe(vec *features.Vector, mode policy.Mode, st *st
 	return decideResult{seconds: sec, d: d, tp: th.Tp, td: th.Td, gen: lm.gen}, nil
 }
 
-// parsePolicyMode maps the wire names onto policy modes.
-func parsePolicyMode(w http.ResponseWriter, name string) (policy.Mode, bool) {
-	switch name {
+// parsePolicyMode maps the wire names onto policy modes, without allocating
+// for a valid name.
+func parsePolicyMode(w http.ResponseWriter, name []byte) (policy.Mode, bool) {
+	switch string(name) {
 	case "", "delay", "delay-driven":
 		return policy.ModeDelay, true
 	case "power", "power-driven":
@@ -429,7 +447,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	radio, ok := parseRadio(w, req.Radio)
+	radio, ok := s.parseRadio(w, []byte(req.Radio))
 	if !ok {
 		return
 	}

@@ -10,12 +10,11 @@ import (
 	"time"
 
 	"eabrowse/internal/features"
-	"eabrowse/internal/policy"
 )
 
 // The fast lane: /v1/predict, /v1/decide and /v1/predict_batch run inline
-// on the connection goroutine — the compute is a sub-microsecond forest
-// walk, so a queue hop would cost more than the work — through pooled
+// on the connection goroutine — the compute is microseconds over the
+// compiled forest, so a queue hop would cost more than the work — through pooled
 // scratch buffers and the hand-rolled JSON layer. The steady-state path
 // allocates nothing (TestServePredictZeroAllocs pins 0 allocs/op end to end).
 // /v1/simulate keeps the bounded worker queue: simulations run for
@@ -25,24 +24,33 @@ import (
 // directly avoids Header().Set's per-call []string allocation.
 var jsonCTValue = []string{"application/json"}
 
-// decideModeNames are the wire names the fast parser resolves "mode"
-// against; anything else falls back (and 400s like it always has).
-var decideModeNames = []string{"delay", "delay-driven", "power", "power-driven"}
-
 // maxBatchRows caps one predict_batch request.
 const maxBatchRows = 8192
 
-// fastGate is the fast lane's admission check: bounded work is guaranteed
-// by construction here — the body is size-capped, the compute is one pass
-// over the compiled forest per row — so admission is just "are we
-// accepting", one atomic load, plus in-flight accounting for /metrics.
-func (s *Server) fastGate(w http.ResponseWriter) bool {
+// fastEndpoint is one prediction endpoint's body handler: decode (fast
+// parser, else encoding/json), then its single validate → core → encode
+// tail.
+type fastEndpoint func(s *Server, w http.ResponseWriter, sc *scratch, body []byte, start time.Time)
+
+// serveFast runs a prediction endpoint. Admission is just "are we
+// accepting", one atomic load — bounded work is guaranteed by construction
+// here (the body is size-capped, the compute is one pass over the compiled
+// forest per row) — plus in-flight accounting for /metrics, a pooled
+// scratch and the buffered body.
+func (s *Server) serveFast(w http.ResponseWriter, r *http.Request, endpoint fastEndpoint) {
+	start := time.Now()
 	if !s.accepting.Load() {
 		s.rejects.Add(1)
 		s.writeWorkError(w, errShuttingDown)
-		return false
+		return
 	}
-	return true
+	s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	if body, ok := s.readBody(w, r, sc); ok {
+		endpoint(s, w, sc, body, start)
+	}
 }
 
 // readBody reads the whole request body into sc.in, enforcing the method
@@ -84,7 +92,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, sc *scratch) (
 }
 
 // decodeBodyBytes is the encoding/json decoder over a buffered body:
-// /v1/simulate's only decoder and the fast lane's fallback. Unknown fields
+// /v1/simulate's only decoder and the fast lane's fallback decoder. Unknown fields
 // and trailing data are 400s; readBody already enforced the size cap.
 func decodeBodyBytes(w http.ResponseWriter, body []byte, v any) bool {
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -116,150 +124,61 @@ func writeFast(w http.ResponseWriter, body []byte) {
 
 // --- /v1/predict ------------------------------------------------------------
 
-func (s *Server) handlePredictFast(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if !s.fastGate(w) {
-		return
-	}
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	body, ok := s.readBody(w, r, sc)
-	if !ok {
-		return
-	}
-	feats, radio, err := parseFastPredict(body, sc.feats, s.radioNames)
+func (s *Server) predict(w http.ResponseWriter, sc *scratch, body []byte, start time.Time) {
+	feats, radioName, err := parseFastVector(body, sc.feats, "radio")
 	sc.feats = feats[:0]
 	if err != nil {
-		s.legacyPredict(w, body, start, sc.st)
-		return
-	}
-	if radio == "" {
-		radio = "umts"
+		var req predictRequest
+		if !decodeBodyBytes(w, body, &req) {
+			return
+		}
+		feats, radioName = req.Features, []byte(req.Radio)
 	}
 	var vec features.Vector
 	if !parseFeatures(w, feats, &vec) {
 		return
 	}
-	res, cerr := s.predictCoreStripe(&vec, sc.st)
-	if cerr != nil {
-		s.writeWorkError(w, cerr)
-		return
-	}
-	sc.st.observe(hPredict, start)
-	out, eok := appendPredictResponse(sc.out[:0], res.seconds, res.gen, radio)
-	sc.out = out[:0]
-	if !eok {
-		writeJSON(w, http.StatusOK, predictResponse{
-			ReadingSeconds: res.seconds, ModelGeneration: res.gen, Radio: radio,
-		})
-		return
-	}
-	writeFast(w, out)
-}
-
-// legacyPredict replays the pre-fast-path handler over the buffered body,
-// reproducing its statuses, messages and bytes exactly.
-func (s *Server) legacyPredict(w http.ResponseWriter, body []byte, start time.Time, st *stripe) {
-	var req predictRequest
-	if !decodeBodyBytes(w, body, &req) {
-		return
-	}
-	var vec features.Vector
-	if !parseFeatures(w, req.Features, &vec) {
-		return
-	}
-	radio, ok := parseRadio(w, req.Radio)
+	radio, ok := s.parseRadio(w, radioName)
 	if !ok {
 		return
 	}
-	res, err := s.predictCoreStripe(&vec, st)
+	res, err := s.predictCoreStripe(&vec, sc.st)
 	if err != nil {
 		s.writeWorkError(w, err)
 		return
 	}
-	st.observe(hPredict, start)
-	writeJSON(w, http.StatusOK, predictResponse{
-		ReadingSeconds:  res.seconds,
-		ModelGeneration: res.gen,
-		Radio:           radio,
-	})
+	sc.st.observe(hPredict, start)
+	sc.out = appendPredictResponse(sc.out[:0], res.seconds, res.gen, radio)
+	writeFast(w, sc.out)
 }
 
 // --- /v1/decide -------------------------------------------------------------
 
-func (s *Server) handleDecideFast(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if !s.fastGate(w) {
-		return
-	}
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	body, ok := s.readBody(w, r, sc)
-	if !ok {
-		return
-	}
-	feats, modeName, err := parseFastDecide(body, sc.feats, decideModeNames)
+func (s *Server) decide(w http.ResponseWriter, sc *scratch, body []byte, start time.Time) {
+	feats, modeName, err := parseFastVector(body, sc.feats, "mode")
 	sc.feats = feats[:0]
 	if err != nil {
-		s.legacyDecide(w, body, start, sc.st)
-		return
-	}
-	mode := policy.ModeDelay
-	if modeName == "power" || modeName == "power-driven" {
-		mode = policy.ModePower
+		var req decideRequest
+		if !decodeBodyBytes(w, body, &req) {
+			return
+		}
+		feats, modeName = req.Features, []byte(req.Mode)
 	}
 	var vec features.Vector
 	if !parseFeatures(w, feats, &vec) {
 		return
 	}
-	res, cerr := s.decideCoreStripe(&vec, mode, sc.st)
-	if cerr != nil {
-		s.writeWorkError(w, cerr)
-		return
-	}
-	sc.st.observe(hDecide, start)
-	resp := decideResponse{
-		ReadingSeconds:  res.seconds,
-		Switch:          res.d.Switch,
-		Reason:          res.d.Reason,
-		Mode:            mode.String(),
-		TpSeconds:       res.tp.Seconds(),
-		TdSeconds:       res.td.Seconds(),
-		ModelGeneration: res.gen,
-	}
-	out, eok := appendDecideResponse(sc.out[:0], &resp)
-	sc.out = out[:0]
-	if !eok {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	writeFast(w, out)
-}
-
-func (s *Server) legacyDecide(w http.ResponseWriter, body []byte, start time.Time, st *stripe) {
-	var req decideRequest
-	if !decodeBodyBytes(w, body, &req) {
-		return
-	}
-	var vec features.Vector
-	if !parseFeatures(w, req.Features, &vec) {
-		return
-	}
-	mode, ok := parsePolicyMode(w, req.Mode)
+	mode, ok := parsePolicyMode(w, modeName)
 	if !ok {
 		return
 	}
-	res, err := s.decideCoreStripe(&vec, mode, st)
+	res, err := s.decideCoreStripe(&vec, mode, sc.st)
 	if err != nil {
 		s.writeWorkError(w, err)
 		return
 	}
-	st.observe(hDecide, start)
-	writeJSON(w, http.StatusOK, decideResponse{
+	sc.st.observe(hDecide, start)
+	sc.out = appendDecideResponse(sc.out[:0], &decideResponse{
 		ReadingSeconds:  res.seconds,
 		Switch:          res.d.Switch,
 		Reason:          res.d.Reason,
@@ -268,6 +187,7 @@ func (s *Server) legacyDecide(w http.ResponseWriter, body []byte, start time.Tim
 		TdSeconds:       res.td.Seconds(),
 		ModelGeneration: res.gen,
 	})
+	writeFast(w, sc.out)
 }
 
 // --- /v1/predict_batch ------------------------------------------------------
@@ -282,81 +202,22 @@ type batchResponse struct {
 	ModelGeneration uint64    `json:"model_generation"`
 }
 
-// batchRowError formats per-row validation failures identically for the
-// fast and fallback paths.
-func batchRowError(w http.ResponseWriter, i, arity int) {
-	writeError(w, http.StatusBadRequest,
-		fmt.Sprintf("vector %d: need exactly %d features (Table 1 order), got %d", i, features.Num, arity))
-}
-
-// checkBatchShape validates the row count and arities shared by both paths.
-func checkBatchShape(w http.ResponseWriter, rows int, arity func(int) int) bool {
-	if rows == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch: need at least one feature vector")
-		return false
-	}
-	if rows > maxBatchRows {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d vectors exceeds %d", rows, maxBatchRows))
-		return false
-	}
-	for i := 0; i < rows; i++ {
-		if n := arity(i); n != features.Num {
-			batchRowError(w, i, n)
-			return false
-		}
-	}
-	return true
-}
-
-func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if !s.fastGate(w) {
-		return
-	}
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	body, ok := s.readBody(w, r, sc)
-	if !ok {
-		return
-	}
+func (s *Server) predictBatch(w http.ResponseWriter, sc *scratch, body []byte, start time.Time) {
 	rows, err := parseFastBatch(body, sc)
 	if err != nil {
-		s.legacyPredictBatch(w, body, start, sc)
+		var req batchRequest
+		if !decodeBodyBytes(w, body, &req) {
+			return
+		}
+		sc.rowLens = sc.rowLens[:0]
+		for _, row := range req.Features {
+			sc.addRow(row)
+		}
+		rows = len(req.Features)
+	}
+	if !checkBatchShape(w, sc.rowLens[:rows]) {
 		return
 	}
-	if !checkBatchShape(w, rows, func(i int) int { return sc.rowLens[i] }) {
-		return
-	}
-	s.finishBatch(w, start, sc, rows)
-}
-
-func (s *Server) legacyPredictBatch(w http.ResponseWriter, body []byte, start time.Time, sc *scratch) {
-	var req batchRequest
-	if !decodeBodyBytes(w, body, &req) {
-		return
-	}
-	rows := len(req.Features)
-	if !checkBatchShape(w, rows, func(i int) int { return len(req.Features[i]) }) {
-		return
-	}
-	for len(sc.vecs) < rows {
-		sc.vecs = append(sc.vecs, features.Vector{})
-	}
-	for i, row := range req.Features {
-		copy(sc.vecs[i][:], row)
-	}
-	s.finishBatch(w, start, sc, rows)
-}
-
-// finishBatch runs the validated rows through the zero-alloc batch
-// predictor and renders the response. Rows may carry non-finite values
-// only via the fallback path (JSON cannot express them on the fast path),
-// and the forest tolerates any finite input, so no per-value check runs
-// here — parseFeatures' finiteness rule is about single-vector parity.
-func (s *Server) finishBatch(w http.ResponseWriter, start time.Time, sc *scratch, rows int) {
 	lm := s.model.current()
 	if lm == nil {
 		s.writeWorkError(w, errNoModel)
@@ -366,20 +227,43 @@ func (s *Server) finishBatch(w http.ResponseWriter, start time.Time, sc *scratch
 		sc.preds = append(sc.preds[:cap(sc.preds)], 0)
 	}
 	sc.preds = sc.preds[:rows]
-	var err error
 	sc.xs, err = lm.pred.PredictBatchVecSeconds(sc.vecs[:rows], sc.preds, sc.xs)
 	if err != nil {
 		s.writeWorkError(w, err)
 		return
 	}
+	for _, sec := range sc.preds {
+		if !finite(sec) {
+			s.writeWorkError(w, errNonFinite)
+			return
+		}
+	}
 	sc.st.count(cBatch)
 	sc.st.add(cBatchItems, int64(rows))
 	sc.st.observe(hBatch, start)
-	out, eok := appendBatchResponse(sc.out[:0], sc.preds, lm.gen)
-	sc.out = out[:0]
-	if !eok {
-		writeJSON(w, http.StatusOK, batchResponse{ReadingSeconds: sc.preds, ModelGeneration: lm.gen})
-		return
+	sc.out = appendBatchResponse(sc.out[:0], sc.preds, lm.gen)
+	writeFast(w, sc.out)
+}
+
+// checkBatchShape validates the row count and every row's arity. Rows
+// carry finite values only: JSON cannot spell anything else, and the
+// forest answers any finite input.
+func checkBatchShape(w http.ResponseWriter, rowLens []int) bool {
+	switch rows := len(rowLens); {
+	case rows == 0:
+		writeError(w, http.StatusBadRequest, "empty batch: need at least one feature vector")
+		return false
+	case rows > maxBatchRows:
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("batch of %d vectors exceeds %d", rows, maxBatchRows))
+		return false
 	}
-	writeFast(w, out)
+	for i, n := range rowLens {
+		if n != features.Num {
+			writeError(w, http.StatusBadRequest,
+				fmt.Sprintf("vector %d: need exactly %d features (Table 1 order), got %d", i, features.Num, n))
+			return false
+		}
+	}
+	return true
 }

@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"eabrowse/internal/features"
+	"eabrowse/internal/gbrt"
 	"eabrowse/internal/predictor"
 	"eabrowse/internal/retry"
+	"eabrowse/internal/trace"
 )
 
 // errNoModel is returned on the request path before a model has been loaded.
@@ -114,8 +116,34 @@ func readModel(path string) (*predictor.Predictor, error) {
 	if err != nil {
 		return nil, retry.Permanent(fmt.Errorf("serve: candidate model failed probe prediction: %w", err))
 	}
-	if sec != sec { // NaN
-		return nil, retry.Permanent(errors.New("serve: candidate model predicts NaN"))
+	if !finite(sec) {
+		return nil, retry.Permanent(fmt.Errorf("serve: candidate model predicts %v on the probe vector", sec))
 	}
 	return pred, nil
+}
+
+// TrainDemoModel trains the paper's predictor configuration (default GBRT,
+// interest threshold, α = 2) on 70% of the synthetic dataset and saves it to
+// path — the model easerd -train-demo writes and eaload serves in process.
+// It returns the predictor with its train and held-out visits.
+func TrainDemoModel(path string) (p *predictor.Predictor, train, test []trace.Visit, err error) {
+	ds, err := trace.Synthesize(trace.DefaultConfig())
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if train, test, err = predictor.Split(ds.Visits, 0.3, 20130709); err != nil {
+		return nil, nil, nil, err
+	}
+	p, err = predictor.Train(train, predictor.Config{
+		GBRT:                 gbrt.DefaultConfig(),
+		UseInterestThreshold: true,
+		Alpha:                2,
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if err := p.SaveFile(path); err != nil {
+		return nil, nil, nil, err
+	}
+	return p, train, test, nil
 }

@@ -8,8 +8,10 @@
 // each prediction is microseconds of pure CPU, so a queue hop would cost
 // more than the work — over a zero-allocation fast path: pooled scratch
 // buffers, a hand-rolled JSON encoder/decoder for the fixed v1 schemas
-// (bit-identical to encoding/json, with a fallback to the real decoder for
-// anything the fast parser does not recognize), and per-CPU striped metrics.
+// (bit-identical to encoding/json), and per-CPU striped metrics. A body the
+// fast parser does not recognize is decoded by encoding/json instead; the
+// fallback only decodes, and one validate → core → encode tail per endpoint
+// answers both spellings.
 // Simulation (/v1/simulate) is milliseconds of work per request and keeps
 // the bounded worker-pool queue with its 429/504 backpressure contract.
 //
@@ -21,7 +23,9 @@
 //     goroutines or memory. Prediction bodies are read into pooled buffers
 //     with the same size cap, and batch requests bound their row count.
 //   - Fail one request, not the process. A panic anywhere in a handler is
-//     recovered per request (500), counted, and the process lives on.
+//     recovered per request (500), counted, and the process lives on. A
+//     model that predicts a non-finite reading time fails that request with
+//     a 500 and a JSON error, never a 200 without a body.
 //   - Hot reload by validate-then-swap. A candidate model file is parsed,
 //     validated and probe-evaluated before an atomic pointer swap publishes
 //     it; a bad file leaves the old model serving (rollback is the default,
@@ -144,7 +148,7 @@ type Server struct {
 	stripes     []stripe
 	stripeRotor atomic.Int64
 	scratch     sync.Pool
-	// radioNames caches rrc.Profiles() so the fast parser can resolve radio
+	// radioNames caches rrc.Profiles() so parseRadio can resolve radio
 	// bytes to canonical strings without allocating.
 	radioNames []string
 

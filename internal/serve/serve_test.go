@@ -647,12 +647,12 @@ func TestPredictCoreZeroAllocs(t *testing.T) {
 		s := loadedServer(t, path)
 		vec := probeVec
 		got := testing.AllocsPerRun(1000, func() {
-			if _, err := s.predictCore(&vec); err != nil {
+			if _, err := s.predictCoreStripe(&vec, &s.stripes[0]); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if got != 0 {
-			t.Fatalf("%s: predictCore allocates %v per prediction, want 0", name, got)
+			t.Fatalf("%s: predictCoreStripe allocates %v per prediction, want 0", name, got)
 		}
 	}
 }
@@ -668,7 +668,7 @@ func BenchmarkPredictCore(b *testing.B) {
 			vec := probeVec
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.predictCore(&vec); err != nil {
+				if _, err := s.predictCoreStripe(&vec, &s.stripes[0]); err != nil {
 					b.Fatal(err)
 				}
 			}

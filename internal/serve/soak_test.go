@@ -321,7 +321,7 @@ func TestSoak(t *testing.T) {
 	}
 	vec := probe
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := s.predictCore(&vec); err != nil {
+		if _, err := s.predictCoreStripe(&vec, &s.stripes[0]); err != nil {
 			t.Fatal(err)
 		}
 	})

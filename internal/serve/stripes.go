@@ -81,11 +81,23 @@ type scratch struct {
 	st      *stripe
 	in      []byte            // raw request body
 	out     []byte            // encoded response
-	feats   []float64         // predict/decide feature values
+	feats   []float64         // feature values of the vector being parsed
 	vecs    []features.Vector // batch rows (capped at maxBatchRows)
 	rowLens []int             // batch row arities, including rows beyond the cap
 	preds   []float64         // batch predictions
 	xs      [][]float64       // batch row-pointer scratch for the predictor
+}
+
+// addRow records one batch row: its arity always, its values only under
+// the row cap.
+func (sc *scratch) addRow(row []float64) {
+	if i := len(sc.rowLens); i < maxBatchRows {
+		for i >= len(sc.vecs) {
+			sc.vecs = append(sc.vecs, features.Vector{})
+		}
+		copy(sc.vecs[i][:], row)
+	}
+	sc.rowLens = append(sc.rowLens, len(row))
 }
 
 // newScratchPool builds the pool; stripes are dealt round-robin at scratch

@@ -203,38 +203,6 @@ func TestCDFEmptyFails(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatalf("NewHistogram: %v", err)
-	}
-	for _, x := range []float64{0, 1, 2.5, 9.9, -3, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("Total = %d, want 6", h.Total())
-	}
-	// -3 clamps into bin 0; 42 clamps into bin 4.
-	if h.Counts[0] != 3 {
-		t.Fatalf("bin 0 count = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 2 {
-		t.Fatalf("bin 4 count = %d, want 2", h.Counts[4])
-	}
-	if !almostEqual(h.Fraction(0), 0.5, 1e-12) {
-		t.Fatalf("Fraction(0) = %v, want 0.5", h.Fraction(0))
-	}
-}
-
-func TestHistogramRejectsBadArgs(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("NewHistogram bins=0 succeeded")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("NewHistogram empty range succeeded")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s, err := Summarize([]float64{1, 2, 3, 4, 5})
 	if err != nil {
