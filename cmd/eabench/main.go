@@ -76,7 +76,18 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("eabench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id (fig1..fig16, table4..table7, ablation, chaos, fleet) or 'all'")
+	opts := benchOptions{
+		profile: experiments.DefaultChaosProfile(),
+		fleet:   experiments.DefaultFleetConfig(),
+	}
+	// The registry's closures read opts when they run, after flag parsing;
+	// building it first lets the -exp help list every experiment by name.
+	exps := allExperiments(&opts)
+	names := make([]string, len(exps))
+	for i, e := range exps {
+		names[i] = e.name
+	}
+	exp := fs.String("exp", "all", "experiment id ("+strings.Join(names, ", ")+") or 'all'")
 	list := fs.Bool("list", false, "list experiments and exit")
 	parallel := fs.Int("parallel", 0, "worker-pool size for parallel simulation (<= 0: GOMAXPROCS); results are identical at any setting")
 	traceOut := fs.String("trace", "", "write the merged simulated-time event trace (JSON lines) to this file")
@@ -84,10 +95,6 @@ func run(args []string) error {
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while experiments run")
 	radio := fs.String("radio", "", "radio profile the simulated phones run: "+strings.Join(rrc.Profiles(), ", ")+" (default umts; experiments that measure the UMTS machine itself — fig1, fig3, table5, timers, ablation — pin it explicitly and are unaffected)")
 
-	opts := benchOptions{
-		profile: experiments.DefaultChaosProfile(),
-		fleet:   experiments.DefaultFleetConfig(),
-	}
 	fs.BoolVar(&opts.timing, "timing", false, "include live wall-clock measurements (makes output nondeterministic)")
 	fs.IntVar(&opts.fleet.Users, "fleet-users", opts.fleet.Users, "fleet: number of simulated phones")
 	fs.Float64Var(&opts.fleet.HoursPerUser, "fleet-hours", opts.fleet.HoursPerUser, "fleet: browsing hours replayed per phone")
@@ -167,7 +174,6 @@ func run(args []string) error {
 		}()
 	}
 
-	exps := allExperiments(opts)
 	if *list {
 		for _, e := range exps {
 			note := ""
@@ -292,7 +298,7 @@ func runAll(w, timingW io.Writer, exps []experiment) error {
 	return nil
 }
 
-func allExperiments(opts benchOptions) []experiment {
+func allExperiments(opts *benchOptions) []experiment {
 	return []experiment{
 		{name: "fig1", desc: "power level of the radio states over time", run: runFig1},
 		{name: "fig3", desc: "original vs intuitive energy by transfer interval (crossover)", run: runFig3},
@@ -318,7 +324,7 @@ func allExperiments(opts benchOptions) []experiment {
 			run: func(p *printer) error { return runChaos(p, opts.profile, opts.maxLoss) }},
 		{name: "fleet", desc: "concurrent multi-user fleet replay with Algorithm 2 (see -fleet-* flags)",
 			heavy: true,
-			run:   func(p *printer) error { return runFleet(p, opts) }},
+			run:   func(p *printer) error { return runFleet(p, *opts) }},
 		{name: "scenarios", desc: "scenario×policy matrix: static vs adaptive vs oracle under time-varying channels",
 			heavy: true,
 			run:   runScenarios},

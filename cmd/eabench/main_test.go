@@ -50,7 +50,7 @@ func TestExperimentNamesUnique(t *testing.T) {
 		fleet:   experiments.DefaultFleetConfig(),
 	}
 	seen := make(map[string]bool)
-	for _, e := range allExperiments(opts) {
+	for _, e := range allExperiments(&opts) {
 		if seen[e.name] {
 			t.Fatalf("duplicate experiment %q", e.name)
 		}

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 	"time"
@@ -22,13 +23,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "eabrowse:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("eabrowse", flag.ContinueOnError)
 	residency := fs.Bool("residency", false, "print radio state residency after load+reading")
 	pageName := fs.String("page", "espn.go.com/sports", "benchmark page to load")
@@ -41,13 +42,13 @@ func run(args []string) error {
 	}
 
 	if *list {
-		fmt.Println("mobile benchmark:")
+		fmt.Fprintln(stdout, "mobile benchmark:")
 		for _, n := range webpage.MobilePageNames {
-			fmt.Println("  " + n)
+			fmt.Fprintln(stdout, "  "+n)
 		}
-		fmt.Println("full benchmark:")
+		fmt.Fprintln(stdout, "full benchmark:")
 		for _, n := range webpage.FullPageNames {
-			fmt.Println("  " + n)
+			fmt.Fprintln(stdout, "  "+n)
 		}
 		return nil
 	}
@@ -69,7 +70,7 @@ func run(args []string) error {
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
 
-	fmt.Printf("page %s: %d resources, %d KB total\n\n",
+	fmt.Fprintf(stdout, "page %s: %d resources, %d KB total\n\n",
 		page.Name, page.ResourceCount(), page.TotalBytes()/1024)
 
 	var opts []browser.Option
@@ -77,17 +78,20 @@ func run(args []string) error {
 		opts = append(opts, browser.WithEventLog())
 	}
 
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 0, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "pipeline\ttransmission\tfirst display\tfinal display\tload J\tload+read J\treflows\tredraws\tobjects")
 	results := make(map[browser.Mode]*browser.Result, len(modes))
 	residencies := make(map[browser.Mode]map[rrc.State]time.Duration, len(modes))
 	for _, m := range modes {
-		out, err := experiments.LoadPageObserved(page, m, *reading, func(s *experiments.Session) {
-			residencies[m] = s.Radio.Residency()
-		}, opts...)
+		s, err := experiments.New(m, experiments.WithEngineOptions(opts...))
 		if err != nil {
 			return err
 		}
+		out, err := s.Visit(page, *reading)
+		if err != nil {
+			return err
+		}
+		residencies[m] = s.Radio.Residency()
 		r := out.Result
 		results[m] = r
 		fmt.Fprintf(w, "%s\t%.1fs\t%.1fs\t%.1fs\t%.1f\t%.1f\t%d\t%d\t%d\n",
@@ -101,9 +105,9 @@ func run(args []string) error {
 
 	if *timeline {
 		for _, m := range modes {
-			fmt.Printf("\n%s timeline:\n", m)
+			fmt.Fprintf(stdout, "\n%s timeline:\n", m)
 			for _, ev := range results[m].Events {
-				fmt.Printf("  %7.2fs  %-18s %s\n", ev.At.Seconds(), ev.Kind, ev.Detail)
+				fmt.Fprintf(stdout, "  %7.2fs  %-18s %s\n", ev.At.Seconds(), ev.Kind, ev.Detail)
 			}
 		}
 	}
@@ -111,10 +115,10 @@ func run(args []string) error {
 		order := []rrc.State{rrc.StateIdle, rrc.StateFACH, rrc.StateDCH,
 			rrc.StatePromoIdleDCH, rrc.StatePromoFACHDCH, rrc.StateReleasing}
 		for _, m := range modes {
-			fmt.Printf("\n%s radio residency:\n", m)
+			fmt.Fprintf(stdout, "\n%s radio residency:\n", m)
 			for _, st := range order {
 				if d := residencies[m][st]; d > 0 {
-					fmt.Printf("  %-17v %8.2fs\n", st, d.Seconds())
+					fmt.Fprintf(stdout, "  %-17v %8.2fs\n", st, d.Seconds())
 				}
 			}
 		}

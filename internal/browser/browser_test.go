@@ -37,17 +37,9 @@ func newRig(t *testing.T, mode Mode, opts ...Option) *rig {
 
 func (r *rig) load(t *testing.T, page *webpage.Page) *Result {
 	t.Helper()
-	var result *Result
-	if err := r.engine.Load(page, func(res *Result) { result = res }); err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	for result == nil {
-		if !r.clock.Step() {
-			t.Fatal("simulation drained without a result")
-		}
-		if r.clock.Now() > time.Hour {
-			t.Fatal("load did not finish within an hour of simulated time")
-		}
+	result, err := r.engine.Run(page)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	return result
 }

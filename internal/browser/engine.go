@@ -139,6 +139,10 @@ type Engine struct {
 	forceDormantFn    func()
 	deliverFn         func()
 	energyProbeFn     obs.EnergyProbe
+	runDoneFn         func(*Result)
+
+	// runResult is the result Run's completion callback last delivered.
+	runResult *Result
 
 	// stateNames labels the radio's energy-probe slots, cached per profile.
 	stateNames *obs.StateNames
@@ -331,6 +335,7 @@ func (e *Engine) bindCallbacks() {
 	e.forceDormantFn = func() { _ = e.forceDormant() }
 	e.deliverFn = e.deliver
 	e.energyProbeFn = e.energyProbe
+	e.runDoneFn = func(r *Result) { e.runResult = r }
 }
 
 // Mode returns the engine's pipeline.

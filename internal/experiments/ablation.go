@@ -65,15 +65,14 @@ func Ablations() (*AblationResult, error) {
 		if err != nil {
 			return AblationRow{}, err
 		}
-		r, err := s.LoadToEnd(page)
+		out, err := s.Visit(page, reading)
 		if err != nil {
 			return AblationRow{}, err
 		}
-		s.Clock.RunFor(reading)
 		return AblationRow{
 			Name:    v.name,
-			EnergyJ: s.Radio.EnergyJ() + r.CPUEnergyJ,
-			LoadS:   r.FinalDisplayAt.Seconds(),
+			EnergyJ: out.TotalWithReadingJ,
+			LoadS:   out.Result.FinalDisplayAt.Seconds(),
 		}, nil
 	})
 	if err != nil {

@@ -15,7 +15,8 @@ import (
 )
 
 // pooledVisit warms a session pool and returns one steady-state page visit
-// on it: check a session out, replay the m.cnn.com load to final display,
+// on it, the one /v1/simulate runs: check a session out, visit m.cnn.com
+// (load to final display, Fig. 10's 20 s reading window, ledger close),
 // check it back in. The warm-up fills the load-plan cache and the pool's
 // result buffers.
 func pooledVisit(tb testing.TB, mode browser.Mode) func() {
@@ -30,7 +31,7 @@ func pooledVisit(tb testing.TB, mode browser.Mode) func() {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if _, err := s.LoadToEnd(page); err != nil {
+		if _, err := s.Visit(page, Fig10ReadingTime); err != nil {
 			tb.Fatal(err)
 		}
 		pool.Put(s)

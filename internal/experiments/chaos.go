@@ -124,48 +124,23 @@ func ChaosSweep(profile faults.Config, maxLoss float64) (*ChaosResult, error) {
 	return res, nil
 }
 
-// chaosPageOutcome is one page's contribution to a mode's stats; loads run
-// in parallel and outcomes are aggregated in page order, so the averages are
-// bit-identical at any worker count.
-type chaosPageOutcome struct {
-	degraded        bool
-	energyJ         float64
-	loadS           float64
-	fetchRetries    int
-	linkRetries     int
-	failedObjects   int
-	failedTransfers int
-	dormancyFailed  bool
-}
-
+// chaosRunMode loads every page under mode. Loads run in parallel and their
+// outcomes are aggregated in page order, so the averages are bit-identical at
+// any worker count.
 func chaosRunMode(mode browser.Mode, pages []*webpage.Page, profile faults.Config,
 	loss float64, lossIdx int) (*ChaosModeStats, error) {
-	outcomes, err := runner.Collect(len(pages), func(pi int) (chaosPageOutcome, error) {
+	outcomes, err := runner.Collect(len(pages), func(pi int) (LoadOutcome, error) {
 		page := pages[pi]
 		cfg := profile
 		cfg.LossRate = loss
 		// One independent, reproducible fault stream per (loss, mode, page).
 		cfg.Seed = profile.Seed + int64(lossIdx)*10_000 + int64(mode)*1_000 + int64(pi)
-		s, err := New(mode, WithFaultInjector(cfg),
+		out, err := LoadPage(page, mode, ChaosReadingTime, WithFaultInjector(cfg),
 			WithObsKey(fmt.Sprintf("chaos/L%d/%s/%s", lossIdx, mode, page.Name)))
 		if err != nil {
-			return chaosPageOutcome{}, err
+			return out, fmt.Errorf("page %s: %w", page.Name, err)
 		}
-		r, err := s.LoadToEnd(page)
-		if err != nil {
-			return chaosPageOutcome{}, fmt.Errorf("page %s: %w", page.Name, err)
-		}
-		s.Clock.RunFor(ChaosReadingTime)
-		return chaosPageOutcome{
-			degraded:        r.Degraded(),
-			energyJ:         s.Radio.EnergyJ() + r.CPUEnergyJ,
-			loadS:           r.FinalDisplayAt.Seconds(),
-			fetchRetries:    r.FetchRetries,
-			linkRetries:     r.LinkRetries,
-			failedObjects:   r.FailedObjects,
-			failedTransfers: r.FailedTransfers,
-			dormancyFailed:  r.DormancyFailed,
-		}, nil
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
@@ -173,17 +148,18 @@ func chaosRunMode(mode browser.Mode, pages []*webpage.Page, profile faults.Confi
 
 	stats := &ChaosModeStats{Mode: mode}
 	for _, o := range outcomes {
+		r := o.Result
 		stats.Completed++
-		if o.degraded {
+		if r.Degraded() {
 			stats.Degraded++
 		}
-		stats.EnergyJ += o.energyJ
-		stats.LoadS += o.loadS
-		stats.FetchRetries += o.fetchRetries
-		stats.LinkRetries += o.linkRetries
-		stats.FailedObjects += o.failedObjects
-		stats.FailedTransfers += o.failedTransfers
-		if o.dormancyFailed {
+		stats.EnergyJ += o.TotalWithReadingJ
+		stats.LoadS += r.FinalDisplayAt.Seconds()
+		stats.FetchRetries += r.FetchRetries
+		stats.LinkRetries += r.LinkRetries
+		stats.FailedObjects += r.FailedObjects
+		stats.FailedTransfers += r.FailedTransfers
+		if r.DormancyFailed {
 			stats.DormancyFailures++
 		}
 	}

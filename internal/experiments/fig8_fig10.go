@@ -87,14 +87,14 @@ func ComparePagesTraced(traceKey, label string, pages []*webpage.Page, reading t
 	cmp := &BenchComparison{Label: label, Pages: len(pages)}
 	for _, mode := range []browser.Mode{browser.ModeOriginal, browser.ModeEnergyAware} {
 		mode := mode
-		outcomes, err := runner.Collect(len(pages), func(i int) (*LoadOutcome, error) {
+		outcomes, err := runner.Collect(len(pages), func(i int) (LoadOutcome, error) {
 			var sopts []SessionOption
 			if traceKey != "" {
 				sopts = append(sopts, WithObsKey(fmt.Sprintf("%s/%s/%s", traceKey, mode, pages[i].Name)))
 			}
-			out, err := LoadPageSession(pages[i], mode, reading, nil, sopts...)
+			out, err := LoadPage(pages[i], mode, reading, sopts...)
 			if err != nil {
-				return nil, fmt.Errorf("load %s (%v): %w", pages[i].Name, mode, err)
+				return out, fmt.Errorf("load %s (%v): %w", pages[i].Name, mode, err)
 			}
 			return out, nil
 		})

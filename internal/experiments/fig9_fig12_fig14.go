@@ -82,7 +82,7 @@ func Fig12() (*Fig12Result, error) {
 	}
 	// The two pipelines run on independent phones — load them concurrently.
 	modes := []browser.Mode{browser.ModeOriginal, browser.ModeEnergyAware}
-	outs, err := runner.Collect(len(modes), func(i int) (*LoadOutcome, error) {
+	outs, err := runner.Collect(len(modes), func(i int) (LoadOutcome, error) {
 		return LoadPage(page, modes[i], 0)
 	})
 	if err != nil {

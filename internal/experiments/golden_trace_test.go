@@ -36,7 +36,7 @@ func goldenTrace(t *testing.T) []byte {
 		if err != nil {
 			t.Fatalf("NewRecorder(%v): %v", mode, err)
 		}
-		if _, err := LoadPageSession(page, mode, Fig10ReadingTime, nil, WithObsRecorder(rec)); err != nil {
+		if _, err := LoadPage(page, mode, Fig10ReadingTime, WithObsRecorder(rec)); err != nil {
 			t.Fatalf("load %v: %v", mode, err)
 		}
 	}
@@ -132,8 +132,7 @@ func goldenTraceFor(t *testing.T, profile string) []byte {
 		if err != nil {
 			t.Fatalf("NewRecorder(%v): %v", mode, err)
 		}
-		_, err = LoadPageSession(page, mode, Fig10ReadingTime, nil,
-			WithRadioModel(spec), WithObsRecorder(rec))
+		_, err = LoadPage(page, mode, Fig10ReadingTime, WithRadioModel(spec), WithObsRecorder(rec))
 		if err != nil {
 			t.Fatalf("load %v on %s: %v", mode, profile, err)
 		}

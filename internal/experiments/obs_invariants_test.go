@@ -27,13 +27,15 @@ func TestLedgerInvariants(t *testing.T) {
 	}
 	for _, mode := range []browser.Mode{browser.ModeOriginal, browser.ModeEnergyAware} {
 		for _, page := range pages {
-			var radioJ float64
-			out, err := LoadPageSession(page, mode, Fig10ReadingTime, func(s *Session) {
-				radioJ = s.Radio.EnergyJ()
-			})
+			s, err := New(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := s.Visit(page, Fig10ReadingTime)
 			if err != nil {
 				t.Fatalf("%v %s: %v", mode, page.Name, err)
 			}
+			radioJ := s.Radio.EnergyJ()
 			led := out.Result.Ledger
 			if led == nil {
 				t.Fatalf("%v %s: result carries no ledger", mode, page.Name)
@@ -125,7 +127,7 @@ func TestTraceInvariants(t *testing.T) {
 			if faulty {
 				opts = append(opts, WithFaultInjector(profile))
 			}
-			if _, err := LoadPageSession(page, mode, Fig10ReadingTime, nil, opts...); err != nil {
+			if _, err := LoadPage(page, mode, Fig10ReadingTime, opts...); err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
 			checkSessionTrace(t, key, rec.Events())

@@ -228,47 +228,69 @@ func TestFleetConfigBounds(t *testing.T) {
 // exactly; energies and transmission times only to floating-point tolerance,
 // because the two accumulate the same physical quantities in different
 // association orders.
+//
+// The lte and nr rows pin the counts but only log the energy gaps. The
+// simtime.Timer early re-arm defect can leave an LTE/NR demotion deadline
+// already past when a template's load ends, so buildTemplate stores a
+// negative endRem and phoneCursor.advance charges negative energy for it
+// (about 2e-2 relative on original energy at 40 users). Once the timer is
+// fixed these rows become 1e-6 pins like the umts ones.
 func TestFleetTracedMatchesTemplated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet replay is slow")
 	}
-	cfg := FleetConfig{Users: 8, HoursPerUser: 0.05, Seed: 11}
-	analytic, err := Fleet(cfg)
-	if err != nil {
-		t.Fatalf("templated Fleet: %v", err)
+	for _, tc := range []struct {
+		radio, policy string
+		cfg           FleetConfig
+		pinned        bool // energies and transmission times pinned to 1e-6
+	}{
+		{"umts", "static", FleetConfig{Users: 8, HoursPerUser: 0.05, Seed: 11}, true},
+		{"lte", "static", FleetConfig{Users: 40, HoursPerUser: 0.1, Seed: 11}, false},
+		{"lte", "adaptive", FleetConfig{Users: 40, HoursPerUser: 0.1, Seed: 11}, false},
+		{"nr", "static", FleetConfig{Users: 40, HoursPerUser: 0.1, Seed: 11}, false},
+		{"nr", "adaptive", FleetConfig{Users: 40, HoursPerUser: 0.1, Seed: 11}, false},
+	} {
+		t.Run(tc.radio+"/"+tc.policy, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Radio, cfg.Policy = tc.radio, tc.policy
+			analytic, err := Fleet(cfg)
+			if err != nil {
+				t.Fatalf("templated Fleet: %v", err)
+			}
+			obs.Enable()
+			traced, err := Fleet(cfg)
+			obs.Disable()
+			if err != nil {
+				t.Fatalf("traced Fleet: %v", err)
+			}
+			if analytic.Visits != traced.Visits {
+				t.Errorf("visits: templated %d, traced %d", analytic.Visits, traced.Visits)
+			}
+			if analytic.Aware.Predictions != traced.Aware.Predictions {
+				t.Errorf("predictions: templated %d, traced %d",
+					analytic.Aware.Predictions, traced.Aware.Predictions)
+			}
+			if analytic.Aware.Switches != traced.Aware.Switches {
+				t.Errorf("switches: templated %d, traced %d",
+					analytic.Aware.Switches, traced.Aware.Switches)
+			}
+			relClose := func(name string, a, b, tol float64) {
+				t.Helper()
+				scale := math.Max(math.Abs(a), math.Abs(b))
+				rel := 0.0
+				if scale > 0 {
+					rel = math.Abs(a-b) / scale
+				}
+				t.Logf("%s: templated %.9f, traced %.9f (rel err %.2e)", name, a, b, rel)
+				if tc.pinned && rel > tol {
+					t.Errorf("%s: rel err %.2e above %.0e", name, rel, tol)
+				}
+			}
+			relClose("original energy", analytic.Original.EnergyJ, traced.Original.EnergyJ, 1e-6)
+			relClose("aware energy", analytic.Aware.EnergyJ, traced.Aware.EnergyJ, 1e-6)
+			relClose("original mean trans", analytic.Original.MeanTransmissionS, traced.Original.MeanTransmissionS, 1e-6)
+			relClose("aware mean trans", analytic.Aware.MeanTransmissionS, traced.Aware.MeanTransmissionS, 1e-6)
+			relClose("prediction energy", analytic.Aware.PredictionEnergyJ, traced.Aware.PredictionEnergyJ, 1e-9)
+		})
 	}
-	obs.Enable()
-	defer obs.Disable()
-	traced, err := Fleet(cfg)
-	if err != nil {
-		t.Fatalf("traced Fleet: %v", err)
-	}
-
-	if analytic.Visits != traced.Visits {
-		t.Errorf("visits: templated %d, traced %d", analytic.Visits, traced.Visits)
-	}
-	if analytic.Aware.Predictions != traced.Aware.Predictions {
-		t.Errorf("predictions: templated %d, traced %d",
-			analytic.Aware.Predictions, traced.Aware.Predictions)
-	}
-	if analytic.Aware.Switches != traced.Aware.Switches {
-		t.Errorf("switches: templated %d, traced %d",
-			analytic.Aware.Switches, traced.Aware.Switches)
-	}
-	relClose := func(name string, a, b, tol float64) {
-		t.Helper()
-		scale := math.Max(math.Abs(a), math.Abs(b))
-		if scale == 0 {
-			return
-		}
-		if math.Abs(a-b)/scale > tol {
-			t.Errorf("%s: templated %.9f, traced %.9f (rel err %.2e)",
-				name, a, b, math.Abs(a-b)/scale)
-		}
-	}
-	relClose("original energy", analytic.Original.EnergyJ, traced.Original.EnergyJ, 1e-6)
-	relClose("aware energy", analytic.Aware.EnergyJ, traced.Aware.EnergyJ, 1e-6)
-	relClose("original mean trans", analytic.Original.MeanTransmissionS, traced.Original.MeanTransmissionS, 1e-6)
-	relClose("aware mean trans", analytic.Aware.MeanTransmissionS, traced.Aware.MeanTransmissionS, 1e-6)
-	relClose("prediction energy", analytic.Aware.PredictionEnergyJ, traced.Aware.PredictionEnergyJ, 1e-9)
 }

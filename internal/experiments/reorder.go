@@ -53,7 +53,7 @@ func Reorder() (*ReorderResult, error) {
 			return ReorderRow{}, err
 		}
 		row := ReorderRow{Profile: name}
-		orig, err := LoadPageSession(page, browser.ModeOriginal, Fig10ReadingTime, nil,
+		orig, err := LoadPage(page, browser.ModeOriginal, Fig10ReadingTime,
 			WithRadioModel(spec),
 			WithObsKey(fmt.Sprintf("reorder/%s/original", name)))
 		if err != nil {
@@ -61,15 +61,16 @@ func Reorder() (*ReorderResult, error) {
 		}
 		row.OriginalJ = orig.TotalWithReadingJ
 		row.OrigLoadS = orig.Result.FinalDisplayAt.Seconds()
-		aware, err := LoadPageSession(page, browser.ModeEnergyAware, Fig10ReadingTime,
-			func(s *Session) {
-				row.AwareDormant = s.Radio.State() == rrc.StateIdle
-			},
-			WithRadioModel(spec),
+		s, err := New(browser.ModeEnergyAware, WithRadioModel(spec),
 			WithObsKey(fmt.Sprintf("reorder/%s/energy-aware", name)))
+		if err != nil {
+			return ReorderRow{}, err
+		}
+		aware, err := s.Visit(page, Fig10ReadingTime)
 		if err != nil {
 			return ReorderRow{}, fmt.Errorf("reorder %s energy-aware: %w", name, err)
 		}
+		row.AwareDormant = s.Radio.State() == rrc.StateIdle
 		row.AwareJ = aware.TotalWithReadingJ
 		row.AwareLoadS = aware.Result.FinalDisplayAt.Seconds()
 		row.SavingPct = savingPct(row.OriginalJ, row.AwareJ)

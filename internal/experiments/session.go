@@ -21,15 +21,13 @@ import (
 	"eabrowse/internal/webpage"
 )
 
-// maxSimTime bounds any single page-load simulation; a load that has not
-// finished by then indicates a wedged pipeline (bug), not a slow page.
-const maxSimTime = 30 * time.Minute
-
-// LoadOutcome is the result of loading one page on a fresh simulated phone.
+// LoadOutcome is one page visit: the load result and the energy of the load
+// plus its reading window.
 type LoadOutcome struct {
 	Result *browser.Result
-	// TotalWithReadingJ is radio+CPU energy over the window from load start
-	// to final display plus the requested reading time.
+	// TotalWithReadingJ is the radio energy the session has spent since it
+	// was built (or reset) plus the load's CPU energy, read at the end of the
+	// reading window. On a fresh phone that is the whole visit.
 	TotalWithReadingJ float64
 	// ReadingJ is the energy spent during the reading window alone.
 	ReadingJ float64
@@ -48,11 +46,6 @@ type Session struct {
 	// Obs is the session's event recorder; nil unless the session was built
 	// with WithObsKey (and tracing is enabled) or WithObsRecorder.
 	Obs *obs.Recorder
-
-	// LoadToEnd scratch: the once-bound completion callback and the result it
-	// last delivered.
-	loadDone   *browser.Result
-	loadDoneFn func(*browser.Result)
 }
 
 // sessionConfig is what SessionOptions configure; New starts from the
@@ -236,73 +229,42 @@ func New(mode browser.Mode, opts ...SessionOption) (*Session, error) {
 }
 
 // LoadToEnd loads one page and runs the simulation until the final display.
-// The completion callback is bound once per session (not per call), keeping
-// repeated pooled visits allocation-free.
 func (s *Session) LoadToEnd(page *webpage.Page) (*browser.Result, error) {
-	if s.loadDoneFn == nil {
-		s.loadDoneFn = func(r *browser.Result) { s.loadDone = r }
-	}
-	s.loadDone = nil
-	err := s.Engine.Load(page, s.loadDoneFn)
-	if err != nil {
-		return nil, err
-	}
-	deadline := s.Clock.Now() + maxSimTime
-	for s.loadDone == nil && s.Clock.Now() < deadline {
-		if !s.Clock.Step() {
-			break
-		}
-	}
-	if s.loadDone == nil {
-		return nil, fmt.Errorf("load of %s did not finish within %v", page.Name, maxSimTime)
-	}
-	return s.loadDone, nil
+	return s.Engine.Run(page)
 }
 
-// LoadPage loads page on a fresh phone in the given mode and then simulates
-// reading time: the phone sits there (timers running or radio already
-// dormant) while the user reads.
-func LoadPage(page *webpage.Page, mode browser.Mode, reading time.Duration,
-	opts ...browser.Option) (*LoadOutcome, error) {
-	return LoadPageObserved(page, mode, reading, nil, opts...)
-}
-
-// LoadPageObserved is LoadPage with a hook that receives the session after
-// the reading window, for callers that want to inspect the substrate state
-// (radio residency, transfer records) beyond the load result.
-func LoadPageObserved(page *webpage.Page, mode browser.Mode, reading time.Duration,
-	observe func(*Session), opts ...browser.Option) (*LoadOutcome, error) {
-	return LoadPageSession(page, mode, reading, observe, WithEngineOptions(opts...))
-}
-
-// LoadPageSession is the full-control variant of LoadPage: the session is
-// built from arbitrary session options (fault injector, obs key, ...).
-func LoadPageSession(page *webpage.Page, mode browser.Mode, reading time.Duration,
-	observe func(*Session), opts ...SessionOption) (*LoadOutcome, error) {
-	s, err := New(mode, opts...)
+// Visit is one page visit on this phone: the load to its final display, then
+// reading of simulated reading time (timers running or the radio already
+// dormant), then the ledger close, so the ledger's tail phase covers the
+// radio's decay across the reading window. Repeated visits on a pooled
+// session allocate nothing.
+func (s *Session) Visit(page *webpage.Page, reading time.Duration) (LoadOutcome, error) {
+	res, err := s.Engine.Run(page)
 	if err != nil {
-		return nil, err
-	}
-	res, err := s.LoadToEnd(page)
-	if err != nil {
-		return nil, err
+		return LoadOutcome{}, err
 	}
 	energyAtFinal := s.Radio.EnergyJ() + res.CPUEnergyJ
 	if reading > 0 {
 		s.Clock.RunFor(reading)
 	}
 	total := s.Radio.EnergyJ() + res.CPUEnergyJ
-	// Seal the attribution ledger here so its tail phase covers the radio's
-	// post-display decay across the reading window.
 	s.Engine.CloseLedger()
-	if observe != nil {
-		observe(s)
-	}
-	return &LoadOutcome{
+	return LoadOutcome{
 		Result:            res,
 		TotalWithReadingJ: total,
 		ReadingJ:          total - energyAtFinal,
 	}, nil
+}
+
+// LoadPage is one visit to page on a fresh phone in the given mode, built
+// from the session options.
+func LoadPage(page *webpage.Page, mode browser.Mode, reading time.Duration,
+	opts ...SessionOption) (LoadOutcome, error) {
+	s, err := New(mode, opts...)
+	if err != nil {
+		return LoadOutcome{}, err
+	}
+	return s.Visit(page, reading)
 }
 
 // PageByName generates the named benchmark page.

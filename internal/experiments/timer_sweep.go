@@ -56,16 +56,11 @@ func TimerSweep() (*TimerSweepResult, error) {
 		if err != nil {
 			return TimerSweepRow{}, err
 		}
-		r, err := s.LoadToEnd(page)
+		out, err := s.Visit(page, reading)
 		if err != nil {
 			return TimerSweepRow{}, err
 		}
-		s.Clock.RunFor(reading)
-		row := TimerSweepRow{
-			T1:      t1,
-			T2:      t2,
-			EnergyJ: s.Radio.EnergyJ() + r.CPUEnergyJ,
-		}
+		row := TimerSweepRow{T1: t1, T2: t2, EnergyJ: out.TotalWithReadingJ}
 		// Where is the radio 10 s after the page opened?
 		switch {
 		case 10*time.Second < t1:

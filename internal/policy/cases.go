@@ -10,11 +10,9 @@ import (
 	"eabrowse/internal/channel"
 	"eabrowse/internal/features"
 	"eabrowse/internal/gbrt"
-	"eabrowse/internal/netsim"
 	"eabrowse/internal/predictor"
 	"eabrowse/internal/rrc"
 	"eabrowse/internal/runner"
-	"eabrowse/internal/simtime"
 	"eabrowse/internal/trace"
 )
 
@@ -211,7 +209,13 @@ func NewEvaluator(ds *trace.Dataset, pred *predictor.Predictor, params Params,
 			}
 			cond = c
 		}
-		res, err := loadOnce(pp, mode, spec, cond)
+		// The trace replay decides releases itself, so the energy-aware load
+		// runs without the pipeline's own dormancy request.
+		var opts []browser.Option
+		if mode == browser.ModeEnergyAware {
+			opts = append(opts, browser.WithoutAutoDormancy())
+		}
+		res, err := browser.LoadFresh(pp.Page, mode, spec, cond, opts...)
 		if err != nil {
 			return loadCost{}, fmt.Errorf("load %s %v, segment %d: %w", pp.Name, mode, seg, err)
 		}
@@ -237,42 +241,6 @@ func (ev *Evaluator) cases() []Case {
 		return Table6Cases
 	}
 	return ScenarioPolicies
-}
-
-// loadOnce loads one pool page to final display on a fresh phone. sched
-// attaches a channel schedule to the link; nil is the fixed link.
-func loadOnce(pp *trace.PoolPage, mode browser.Mode, spec rrc.ModelSpec, sched *channel.Schedule) (*browser.Result, error) {
-	clock := simtime.NewClock()
-	radio, err := spec.New(clock)
-	if err != nil {
-		return nil, err
-	}
-	link, err := netsim.NewLink(clock, radio, netsim.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	link.SetChannel(sched)
-	var opts []browser.Option
-	if mode == browser.ModeEnergyAware {
-		opts = append(opts, browser.WithoutAutoDormancy())
-	}
-	engine, err := browser.NewEngine(clock, radio, link, browser.DefaultCostModel(), mode, opts...)
-	if err != nil {
-		return nil, err
-	}
-	var result *browser.Result
-	if err := engine.Load(pp.Page, func(r *browser.Result) { result = r }); err != nil {
-		return nil, err
-	}
-	for result == nil {
-		if !clock.Step() {
-			return nil, errors.New("policy: load stalled")
-		}
-		if clock.Now() > 30*time.Minute {
-			return nil, errors.New("policy: load timed out")
-		}
-	}
-	return result, nil
 }
 
 // EvaluateAll replays the trace under each case in order: on the fixed link

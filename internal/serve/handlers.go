@@ -347,16 +347,11 @@ func (s *Server) simulateCore(page *webpage.Page, mode browser.Mode, radio strin
 			return simulateResponse{}, err
 		}
 	}
-	res, err := sess.LoadToEnd(page)
+	visit, err := sess.Visit(page, reading)
 	if err != nil {
 		return simulateResponse{}, fmt.Errorf("serve: simulate %s: %w", page.Name, err)
 	}
-	energyAtFinal := sess.Radio.EnergyJ() + res.CPUEnergyJ
-	if reading > 0 {
-		sess.Clock.RunFor(reading)
-	}
-	total := sess.Radio.EnergyJ() + res.CPUEnergyJ
-	sess.Engine.CloseLedger()
+	res := visit.Result
 	out := simulateResponse{
 		Page:              page.Name,
 		Mode:              mode.String(),
@@ -365,8 +360,8 @@ func (s *Server) simulateCore(page *webpage.Page, mode browser.Mode, radio strin
 		FirstDisplayS:     res.FirstDisplayAt.Seconds(),
 		TransmissionS:     res.TransmissionTime.Seconds(),
 		LoadEnergyJ:       obs.Round6(res.TotalEnergyJ()),
-		EnergyWithReading: obs.Round6(total),
-		ReadingEnergyJ:    obs.Round6(total - energyAtFinal),
+		EnergyWithReading: obs.Round6(visit.TotalWithReadingJ),
+		ReadingEnergyJ:    obs.Round6(visit.ReadingJ),
 	}
 	if sched != nil {
 		out.Channel = sched.Name()

@@ -58,9 +58,18 @@ func (s *Stream) UserVisits(u int, buf []Visit) []Visit {
 // stock math/rand one or a NewUserRand, which draws the same values and
 // reseeds far cheaper. It must not be shared across concurrent calls.
 func (s *Stream) UserVisitsRand(rng *rand.Rand, u int, buf []Visit) []Visit {
+	rng.Seed(userSeed(s.cfg.Seed, u))
+	return s.appendVisits(rng, u, buf)
+}
+
+// appendVisits appends user u's visit sequence, drawn from rng, to buf: the
+// user's liked categories and pace, then sessions of page visits until the
+// browsing budget is spent. It is the one per-user generator; UserVisitsRand
+// reseeds rng per user, Synthesize threads one rng through every user.
+func (s *Stream) appendVisits(rng *rand.Rand, u int, buf []Visit) []Visit {
 	cfg := s.cfg
-	rng.Seed(userSeed(cfg.Seed, u))
 	liked := pickLiked(rng, cfg.Categories, cfg.LikedCategories)
+	// Per-user pace: some users read everything slowly.
 	userFactor := math.Exp(rng.NormFloat64() * 0.2)
 	budget := cfg.HoursPerUser * 3600
 	session := 0
@@ -73,6 +82,8 @@ func (s *Stream) UserVisitsRand(rng *rand.Rand, u int, buf []Visit) []Visit {
 			interested := engaged(rng, liked[page.Category])
 			reading := readingTime(rng, page, interested, userFactor)
 			if reading > cfg.CapSeconds {
+				// The paper discards reads over the cap (user likely walked
+				// away); the time still passes.
 				elapsed += reading
 				continue
 			}
@@ -88,6 +99,7 @@ func (s *Stream) UserVisitsRand(rng *rand.Rand, u int, buf []Visit) []Visit {
 			elapsed += reading + page.Features[features.TransmissionTime]
 		}
 		session++
+		// Break between sessions.
 		elapsed += 60 + rng.Float64()*600
 	}
 	return buf

@@ -27,14 +27,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"eabrowse/internal/browser"
 	"eabrowse/internal/features"
-	"eabrowse/internal/netsim"
 	"eabrowse/internal/rrc"
 	"eabrowse/internal/runner"
-	"eabrowse/internal/simtime"
 	"eabrowse/internal/webpage"
 )
 
@@ -138,42 +135,9 @@ func Synthesize(cfg Config) (*Dataset, error) {
 		return nil, err
 	}
 	ds := &Dataset{Pool: pool}
-
+	st := &Stream{cfg: cfg, pool: pool}
 	for u := 0; u < cfg.Users; u++ {
-		liked := pickLiked(rng, cfg.Categories, cfg.LikedCategories)
-		// Per-user pace: some users read everything slowly.
-		userFactor := math.Exp(rng.NormFloat64() * 0.2)
-		budget := cfg.HoursPerUser * 3600
-		session := 0
-		elapsed := 0.0
-		for elapsed < budget {
-			pagesInSession := 3 + rng.Intn(10)
-			for p := 0; p < pagesInSession && elapsed < budget; p++ {
-				pi := rng.Intn(len(pool))
-				page := &pool[pi]
-				interested := engaged(rng, liked[page.Category])
-				reading := readingTime(rng, page, interested, userFactor)
-				if reading > cfg.CapSeconds {
-					// The paper discards reads over the cap (user likely
-					// walked away); the time still passes.
-					elapsed += reading
-					continue
-				}
-				ds.Visits = append(ds.Visits, Visit{
-					User:           u,
-					Session:        session,
-					Page:           page.Name,
-					Pool:           int32(pi),
-					Features:       page.Features,
-					ReadingSeconds: reading,
-					Interested:     interested,
-				})
-				elapsed += reading + page.Features[features.TransmissionTime]
-			}
-			session++
-			// Break between sessions.
-			elapsed += 60 + rng.Float64()*600
-		}
+		ds.Visits = st.appendVisits(rng, u, ds.Visits)
 	}
 	if len(ds.Visits) == 0 {
 		return nil, errors.New("trace: synthesis produced no visits")
@@ -250,32 +214,11 @@ func poolSpec(i int, mobile bool, rng *rand.Rand) webpage.Spec {
 // measureFeatures loads a page once on a fresh simulated phone (energy-aware
 // pipeline, as the prototype would) and extracts the Table 1 vector.
 func measureFeatures(page *webpage.Page) (features.Vector, error) {
-	clock := simtime.NewClock()
-	radio, err := rrc.NewMachine(clock, rrc.DefaultConfig())
+	res, err := browser.LoadFresh(page, browser.ModeEnergyAware, rrc.DefaultConfig(), nil)
 	if err != nil {
 		return features.Vector{}, err
 	}
-	link, err := netsim.NewLink(clock, radio, netsim.DefaultConfig())
-	if err != nil {
-		return features.Vector{}, err
-	}
-	engine, err := browser.NewEngine(clock, radio, link, browser.DefaultCostModel(), browser.ModeEnergyAware)
-	if err != nil {
-		return features.Vector{}, err
-	}
-	var result *browser.Result
-	if err := engine.Load(page, func(r *browser.Result) { result = r }); err != nil {
-		return features.Vector{}, err
-	}
-	for result == nil {
-		if !clock.Step() {
-			return features.Vector{}, errors.New("trace: load stalled")
-		}
-		if clock.Now() > 30*time.Minute {
-			return features.Vector{}, errors.New("trace: load timed out")
-		}
-	}
-	return features.FromResult(result)
+	return features.FromResult(res)
 }
 
 func pickLiked(rng *rand.Rand, categories, liked int) []bool {
