@@ -47,6 +47,9 @@ func Fig9() (*Fig9Result, error) {
 		}
 		s.Clock.RunFor(20 * time.Second)
 		meter.Stop()
+		// Seal the ledger so the trace ends with the load's phase
+		// attribution, as every other paper session's does.
+		s.Engine.CloseLedger()
 		switch mode {
 		case browser.ModeOriginal:
 			res.Original = meter.Samples()

@@ -295,10 +295,12 @@ type FleetResult struct {
 // is O(shards), independent of the fleet size.
 const fleetShards = 64
 
-// fleetSketchBudget is the centroid budget of the per-shard and merged
-// transmission-time sketches. Distinct values are normally bounded by the
-// template population, but delayed-release loads contribute one distinct
-// shifted value each, so the sketch compresses when a fleet produces more.
+// fleetSketchBudget is the centroid budget of every per-shard and merged
+// fleet sketch. The per-visit energy sketches (OrigVisitJ, AwareVisitJ) see
+// one continuous value per visit, so they compress every few hundred
+// observations and carry the sketch cost of a large fleet. The
+// transmission-time sketches see far fewer distinct values: one per
+// template, plus one per delayed-release load.
 // A var (not const) so equivalence tests can raise it to force exact mode.
 var fleetSketchBudget = 512
 

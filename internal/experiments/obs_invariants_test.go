@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"testing"
@@ -83,6 +85,57 @@ func TestLedgerInvariants(t *testing.T) {
 				t.Errorf("%v %s: TotalWithReadingJ %.9f != ledger total %.9f",
 					mode, page.Name, out.TotalWithReadingJ, led.TotalJ())
 			}
+		}
+	}
+}
+
+// TestPaperSessionsEndWithPhaseEnergy runs every paper experiment that
+// traces its sessions into the process-wide collector, as `eabench -exp all
+// -trace` does, and requires each session's trace to end with its closed
+// ledger's phase-energy events: a session whose driver never closes the
+// ledger would drop its energy attribution from the trace.
+func TestPaperSessionsEndWithPhaseEnergy(t *testing.T) {
+	c := obs.Enable()
+	t.Cleanup(obs.Disable)
+	for _, run := range []struct {
+		name string
+		fn   func() error
+	}{
+		{"fig8", func() error { _, err := Fig8(); return err }},
+		{"fig9", func() error { _, err := Fig9(); return err }},
+		{"fig10", func() error { _, err := Fig10(); return err }},
+		{"fig14", func() error { _, err := Fig14(); return err }},
+		{"reorder", func() error { _, err := Reorder(); return err }},
+		{"chaos", func() error { _, err := ChaosSweep(DefaultChaosProfile(), 0.30); return err }},
+	} {
+		if err := run.fn(); err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := c.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	last := map[string]string{}
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var ev struct {
+			S    string `json:"s"`
+			Kind string `json:"kind"`
+		}
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.S != "" {
+			last[ev.S] = ev.Kind
+		}
+	}
+	if len(last) == 0 {
+		t.Fatal("no traced sessions")
+	}
+	for _, key := range c.Sessions() {
+		if last[key] != obs.KindPhaseEnergy {
+			t.Errorf("%s: trace ends with %q, want the closed ledger's phase-energy events last", key, last[key])
 		}
 	}
 }

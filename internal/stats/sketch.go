@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -38,13 +39,28 @@ type Centroid struct {
 // distinct value exactly (ErrorBound stays 0). Tests use that mode as the
 // oracle the compressed mode is compared against.
 //
+// Observe does not insert into the sorted centroids one value at a time: it
+// parks observations in a pending run in the spare capacity of the centroid
+// slice and settles the run later, in one sorted merge. Every read of the
+// centroids (Centroids, NumCentroids, Quantile, AppendBinary and both sides
+// of Merge) settles first. The settled state is bit-identical to inserting
+// each observation as it arrives, because the run never spans the
+// observation at which a one-at-a-time insert would have compressed (see
+// Observe). Reading a settled sketch writes nothing, so once a sketch has
+// been read or merged, concurrent readers are safe; a sketch with a pending
+// run is not safe for concurrent use.
+//
 // The zero value is not usable; construct sketches with NewSketch.
 type Sketch struct {
 	budget int
-	cs     []Centroid // sorted ascending by V, values strictly increasing
-	n      int64
-	sum    float64 // exact Σ v·n in observation order
-	errV   float64 // accumulated worst-case displacement of any observation
+	// cs holds the settled centroids, sorted ascending by V with strictly
+	// increasing values; cs[len(cs):len(cs)+pending] is the pending run, in
+	// arrival order.
+	cs      []Centroid
+	pending int
+	n       int64
+	sum     float64 // exact Σ v·n in observation order
+	errV    float64 // accumulated worst-case displacement of any observation
 }
 
 // NewSketch returns an empty sketch holding at most budget centroids after
@@ -69,11 +85,17 @@ func (s *Sketch) Mean() float64 {
 }
 
 // NumCentroids returns the current number of centroids.
-func (s *Sketch) NumCentroids() int { return len(s.cs) }
+func (s *Sketch) NumCentroids() int {
+	s.settle()
+	return len(s.cs)
+}
 
 // Centroids returns the centroids in ascending value order. The slice is the
 // sketch's own storage: read-only, valid until the next mutating call.
-func (s *Sketch) Centroids() []Centroid { return s.cs }
+func (s *Sketch) Centroids() []Centroid {
+	s.settle()
+	return s.cs
+}
 
 // ErrorBound returns the worst-case distance any observed value may have
 // drifted from the centroid now representing it. Consequently every quantile
@@ -83,12 +105,36 @@ func (s *Sketch) ErrorBound() float64 { return s.errV }
 
 // Observe records n observations of value v. n must be positive and v must
 // be finite.
+//
+// Between two compressions the centroids depend only on the multiset of
+// values observed since the last one (equal values coalesce, the first-seen
+// value's bits win), and a one-at-a-time insert compresses on the first new
+// distinct value beyond budget·compressSlack centroids. So Observe parks at
+// most budget·compressSlack − len(cs) observations before it settles; with no
+// headroom left after settling it inserts directly, which compresses on the
+// same observation and the same centroids as before.
 func (s *Sketch) Observe(v float64, n int64) {
 	if n <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
 	s.n += n
 	s.sum += v * float64(n)
+	limit := s.budget * compressSlack
+	if s.pending == settleRun || (s.budget > 0 && len(s.cs)+s.pending >= limit) {
+		s.settle()
+		if s.budget > 0 && len(s.cs) >= limit {
+			s.insert(v, n)
+			return
+		}
+	}
+	m := len(s.cs)
+	s.cs = append(s.cs[:m+s.pending], Centroid{V: v, N: n})[:m]
+	s.pending++
+}
+
+// insert files one observation straight into the settled centroids: a
+// binary search, then an increment or an insert that may compress.
+func (s *Sketch) insert(v float64, n int64) {
 	i := sort.Search(len(s.cs), func(i int) bool { return s.cs[i].V >= v })
 	if i < len(s.cs) && s.cs[i].V == v {
 		s.cs[i].N += n
@@ -100,6 +146,161 @@ func (s *Sketch) Observe(v float64, n int64) {
 	s.maybeCompress()
 }
 
+// settleRun caps the pending run, so settle's scratch is a fixed-size stack
+// array and exact mode (which never runs out of headroom) settles in chunks.
+const settleRun = 1024
+
+// runKey is one pending observation during a settle: its value as an
+// order-preserving unsigned key (see sortKey) and its count.
+type runKey struct {
+	k uint64
+	n int64
+}
+
+// zeroKey is the key of both zeros, so ±0 coalesce as they compare equal.
+const zeroKey = 1 << 63
+
+// sortKey maps a finite float64 to a uint64 whose unsigned order is the
+// float order: the sign bit is flipped for positives, every bit for
+// negatives. Both zeros map to zeroKey.
+func sortKey(v float64) uint64 {
+	if v == 0 {
+		return zeroKey
+	}
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// keyValue inverts sortKey (zeroKey decodes to +0).
+func keyValue(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
+}
+
+// settle merges the pending run into the settled centroids: the run is
+// keyed and radix-sorted in stack scratch, equal values are coalesced, and
+// the result is merged into cs from the back, in place, with a value equal
+// to a settled centroid folding into it. The result equals inserting the
+// run one value at a time.
+func (s *Sketch) settle() {
+	p := s.pending
+	if p == 0 {
+		return
+	}
+	s.pending = 0
+	m := len(s.cs)
+	var bufA, bufB [settleRun]runKey
+	keys, tmp := bufA[:p], bufB[:p]
+	// One pass extracts the keys, remembers the first zero's bits (it wins
+	// over later zeros of the other sign) and finds the key bits that vary.
+	run := s.cs[m : m+p]
+	zero, sawZero := 0.0, false
+	k0 := sortKey(run[0].V)
+	var varying uint64
+	for i, c := range run {
+		k := sortKey(c.V)
+		if k == zeroKey && !sawZero {
+			zero, sawZero = c.V, true
+		}
+		keys[i] = runKey{k: k, n: c.N}
+		varying |= k ^ k0
+	}
+	sortRun(keys, tmp, varying)
+	// Coalesce equal keys within the run.
+	u := 0
+	for i := 1; i < p; i++ {
+		if keys[i].k == keys[u].k {
+			keys[u].n += keys[i].n
+		} else {
+			u++
+			keys[u] = keys[i]
+		}
+	}
+	keys = keys[:u+1]
+	// Merge from the back into cs[:m+len(keys)], which the run's spare
+	// capacity holds. w-i never drops below the run entries left, so while
+	// any remain a write lands above every settled centroid not yet read.
+	cs := s.cs[:m+len(keys)]
+	i, w := m-1, len(cs)-1
+	for j := len(keys) - 1; j >= 0; j-- {
+		v := keyValue(keys[j].k)
+		if keys[j].k == zeroKey {
+			v = zero
+		}
+		for i >= 0 && cs[i].V > v {
+			cs[w] = cs[i]
+			i, w = i-1, w-1
+		}
+		if i >= 0 && cs[i].V == v {
+			cs[i].N += keys[j].n
+			continue
+		}
+		cs[w] = Centroid{V: v, N: keys[j].n}
+		w--
+	}
+	// Values that coalesced into settled centroids leave a gap between the
+	// untouched prefix cs[:i+1] and the merged tail cs[w+1:].
+	if gap := w - i; gap > 0 {
+		copy(cs[i+1:], cs[w+1:])
+		cs = cs[:len(cs)-gap]
+	}
+	s.cs = cs
+}
+
+// insertionCutoff is the run length below which sortRun insertion-sorts.
+const insertionCutoff = 16
+
+// sortRun sorts keys ascending by k, with tmp (as long as keys) as scratch.
+// varying has a bit set wherever two keys may differ; the keys agree on
+// every other bit. It is an MSD radix sort on the top varying bits that
+// recurses into the buckets and insertion-sorts short ones, so constant
+// leading bits (a shared sign and exponent) cost nothing.
+func sortRun(keys, tmp []runKey, varying uint64) {
+	if varying == 0 {
+		return
+	}
+	if len(keys) <= insertionCutoff {
+		for i := 1; i < len(keys); i++ {
+			e := keys[i]
+			j := i
+			for ; j > 0 && keys[j-1].k > e.k; j-- {
+				keys[j] = keys[j-1]
+			}
+			keys[j] = e
+		}
+		return
+	}
+	// About four keys per bucket: the digit is the top width varying bits.
+	width := min(bits.Len(uint(len(keys)))-2, 8)
+	shift := max(bits.Len64(varying)-width, 0)
+	mask := uint64(1)<<width - 1
+	var start [1<<8 + 1]int32
+	for _, e := range keys {
+		start[e.k>>shift&mask+1]++
+	}
+	for d := 1; d <= int(mask)+1; d++ {
+		start[d] += start[d-1]
+	}
+	next := start
+	for _, e := range keys {
+		d := e.k >> shift & mask
+		tmp[next[d]] = e
+		next[d]++
+	}
+	copy(keys, tmp)
+	low := varying & (1<<shift - 1)
+	for d := 0; d <= int(mask); d++ {
+		if lo, hi := start[d], start[d+1]; hi-lo > 1 {
+			sortRun(keys[lo:hi], tmp[lo:hi], low)
+		}
+	}
+}
+
 // Merge folds other into s as if its centroids had been observed here, in
 // ascending value order. Deterministic: merging the same pair always yields
 // the same state, so a fixed merge order (shard order) gives reproducible
@@ -108,6 +309,8 @@ func (s *Sketch) Merge(other *Sketch) {
 	if other == nil || other.n == 0 {
 		return
 	}
+	s.settle()
+	other.settle()
 	if other.errV > s.errV {
 		s.errV = other.errV
 	}
@@ -208,6 +411,7 @@ func (s *Sketch) Quantile(q float64) float64 {
 	if s.n == 0 {
 		return 0
 	}
+	s.settle()
 	if q < 0 {
 		q = 0
 	} else if q > 1 {
@@ -236,6 +440,7 @@ func (s *Sketch) Quantile(q float64) float64 {
 
 // AppendBinary appends the sketch's exact binary encoding to b.
 func (s *Sketch) AppendBinary(b []byte) []byte {
+	s.settle()
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(s.budget)))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.n))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.sum))

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -351,4 +352,249 @@ func FuzzDecodeSketch(f *testing.F) {
 			_ = m.Quantile(0.5)
 		}
 	})
+}
+
+// insertObserve is Observe as one sorted insert per call — the path Observe
+// took before it parked observations in a pending run. It is the oracle the
+// settled batches are checked against: a sketch fed only through it never
+// has a pending run.
+func insertObserve(s *Sketch, v float64, n int64) {
+	if n <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return
+	}
+	s.n += n
+	s.sum += v * float64(n)
+	i := sort.Search(len(s.cs), func(i int) bool { return s.cs[i].V >= v })
+	if i < len(s.cs) && s.cs[i].V == v {
+		s.cs[i].N += n
+		return
+	}
+	s.cs = append(s.cs, Centroid{})
+	copy(s.cs[i+1:], s.cs[i:])
+	s.cs[i] = Centroid{V: v, N: n}
+	s.maybeCompress()
+}
+
+// fuzzValue decodes one observed value from two bytes, biased towards heavy
+// duplicates, both zeros and extreme magnitudes. The largest stay far enough
+// below MaxFloat64 that no weighted mean compress forms can overflow.
+func fuzzValue(a, b byte) float64 {
+	switch a % 16 {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2, 3, 4, 5:
+		return float64(b % 8)
+	case 6:
+		return -float64(b%8) - 0.5
+	case 7:
+		return math.Ldexp(float64(b)+1, 900) // ≈1e271
+	case 8:
+		return -math.Ldexp(float64(b)+1, 900)
+	case 9:
+		return math.Ldexp(float64(b), -1074) // subnormals
+	case 10:
+		return math.Ldexp(float64(b)+1, -1000)
+	default:
+		return float64(int(a)<<8|int(b))/7 - 2000
+	}
+}
+
+// sketchPair is one sketch fed through Observe and its oracle fed the same
+// operations through insertObserve.
+type sketchPair struct{ got, want *Sketch }
+
+// checkSketchesAgree fails unless got and want are indistinguishable to
+// every reader: encoding bytes, Sum, ErrorBound and a grid of quantiles,
+// all compared bit for bit.
+func checkSketchesAgree(t *testing.T, step int, p sketchPair) {
+	t.Helper()
+	if g, w := p.got.AppendBinary(nil), p.want.AppendBinary(nil); !bytes.Equal(g, w) {
+		t.Fatalf("step %d: encodings differ\n got %x\nwant %x", step, g, w)
+	}
+	if g, w := math.Float64bits(p.got.Sum()), math.Float64bits(p.want.Sum()); g != w {
+		t.Fatalf("step %d: Sum %v, oracle %v", step, p.got.Sum(), p.want.Sum())
+	}
+	if g, w := math.Float64bits(p.got.ErrorBound()), math.Float64bits(p.want.ErrorBound()); g != w {
+		t.Fatalf("step %d: ErrorBound %v, oracle %v", step, p.got.ErrorBound(), p.want.ErrorBound())
+	}
+	for q := 0.0; q <= 1; q += 1.0 / 32 {
+		if g, w := p.got.Quantile(q), p.want.Quantile(q); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("step %d: Quantile(%v) = %v, oracle %v", step, q, g, w)
+		}
+	}
+}
+
+// sketchMatchesInsert runs the op sequence data encodes on two sketch pairs
+// (budgets 0..64 from the first two bytes) and requires Observe's settled
+// batches to match the one-at-a-time oracle after every read and at the end.
+// Ops: observe (with n = 1 or, with bit 3 set, 1..5) into either pair; a
+// mid-stream Quantile, Centroids or AppendBinary read; a merge of the second
+// pair into the first, after which the second starts afresh (so counts grow
+// linearly, never doubling through repeated cross-merges).
+func sketchMatchesInsert(t *testing.T, data []byte) {
+	if len(data) < 2 {
+		return
+	}
+	budgetA, budgetB := int(data[0]%65), int(data[1]%65)
+	pairs := [2]sketchPair{
+		{NewSketch(budgetA), NewSketch(budgetA)},
+		{NewSketch(budgetB), NewSketch(budgetB)},
+	}
+	data = data[2:]
+	for step := 0; len(data) >= 3; step++ {
+		op, a, b := data[0], data[1], data[2]
+		data = data[3:]
+		p := pairs[op>>7]
+		switch op % 8 {
+		case 0, 1, 2, 3, 4:
+			v, n := fuzzValue(a, b), int64(1)
+			if op&8 != 0 {
+				n = int64(b%5) + 1
+			}
+			p.got.Observe(v, n)
+			insertObserve(p.want, v, n)
+		case 5:
+			q := float64(a) / 255
+			if g, w := p.got.Quantile(q), p.want.Quantile(q); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("step %d: Quantile(%v) = %v, oracle %v", step, q, g, w)
+			}
+		case 6:
+			g, w := p.got.Centroids(), p.want.Centroids()
+			same := len(g) == len(w)
+			for i := 0; same && i < len(g); i++ {
+				same = math.Float64bits(g[i].V) == math.Float64bits(w[i].V) && g[i].N == w[i].N
+			}
+			if !same {
+				t.Fatalf("step %d: centroids differ\n got %v\nwant %v", step, g, w)
+			}
+		case 7:
+			if a%2 == 0 {
+				checkSketchesAgree(t, step, p)
+				continue
+			}
+			pairs[0].got.Merge(pairs[1].got)
+			pairs[0].want.Merge(pairs[1].want)
+			pairs[1] = sketchPair{NewSketch(budgetB), NewSketch(budgetB)}
+		}
+	}
+	checkSketchesAgree(t, -1, pairs[0])
+	checkSketchesAgree(t, -1, pairs[1])
+}
+
+// FuzzSketchMatchesInsert differentially checks Observe's batched settle
+// against the one-at-a-time insert it replaced.
+func FuzzSketchMatchesInsert(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(randomSketchOps(seed))
+	}
+	f.Fuzz(sketchMatchesInsert)
+}
+
+// randomSketchOps returns a seeded op sequence for sketchMatchesInsert,
+// long enough to cross settle chunks and several compressions.
+func randomSketchOps(seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	b := make([]byte, 2+3*(50+rng.Intn(3000)))
+	rng.Read(b)
+	// Most ops observe; keep reads and merges sparse so runs grow long.
+	for i := 2; i+2 < len(b); i += 3 {
+		if rng.Intn(40) != 0 {
+			b[i] = b[i]&^7 | byte(rng.Intn(5))
+		}
+	}
+	return b
+}
+
+// TestSketchMatchesInsertRandom runs the differential check on seeded op
+// sequences, so the plain test suite covers it without a fuzzing run.
+func TestSketchMatchesInsertRandom(t *testing.T) {
+	for seed := int64(0); seed < 320; seed++ {
+		sketchMatchesInsert(t, randomSketchOps(seed))
+	}
+}
+
+// BenchmarkSketchObserve files continuous values into a fleet-sized sketch
+// (budget 512), the per-visit energy pattern: nearly every observation is a
+// new distinct value, so the sketch compresses every few hundred calls.
+func BenchmarkSketchObserve(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, 1<<16)
+	for i := range vals {
+		vals[i] = 5 + 3*float64(rng.Intn(6)) + 0.8*rng.ExpFloat64()
+	}
+	s := NewSketch(512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Observe(vals[i&(len(vals)-1)], 1)
+	}
+}
+
+// TestSketchObserveAllocs gates Observe at zero allocations once the centroid
+// slice has grown to its working capacity: pending runs park in its spare
+// capacity and settle in stack scratch.
+func TestSketchObserveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; run the allocation gates without -race")
+	}
+	rng := rand.New(rand.NewSource(3))
+	vals := make([]float64, 1<<14)
+	for i := range vals {
+		vals[i] = 5 + 3*float64(rng.Intn(6)) + 0.8*rng.ExpFloat64()
+	}
+	for _, budget := range []int{16, 512} {
+		s := NewSketch(budget)
+		for _, v := range vals {
+			s.Observe(v, 1)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			for k := 0; k < 2000; k++ {
+				s.Observe(vals[i&(len(vals)-1)], 1)
+				i++
+			}
+			_ = s.Quantile(0.99)
+		})
+		if allocs != 0 {
+			t.Errorf("budget %d: %v allocs per 2,000 observations, want 0", budget, allocs)
+		}
+	}
+}
+
+// TestSketchConcurrentReadsAfterMerge: a merged sketch is settled, so
+// reading it from several goroutines writes nothing (the race detector
+// checks this under -race) and every reader sees the same state.
+func TestSketchConcurrentReadsAfterMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	global := NewSketch(64)
+	for sh := 0; sh < 4; sh++ {
+		shard := NewSketch(64)
+		for i := 0; i < 300+sh*50; i++ {
+			shard.Observe(rng.ExpFloat64()*10, 1)
+		}
+		global.Merge(shard)
+	}
+	var wg sync.WaitGroup
+	encs := make([][]byte, 2)
+	for g := range encs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var b []byte
+			for _, c := range global.Centroids() {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.V))
+			}
+			for _, q := range []float64{0.5, 0.95, 0.99} {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(global.Quantile(q)))
+			}
+			b = binary.LittleEndian.AppendUint64(b, uint64(global.NumCentroids()))
+			encs[g] = global.AppendBinary(b)
+		}()
+	}
+	wg.Wait()
+	if !bytes.Equal(encs[0], encs[1]) {
+		t.Fatal("concurrent readers of a merged sketch saw different states")
+	}
 }
