@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Centroid is one weighted point of a Sketch: N observations summarized at
@@ -109,45 +108,28 @@ func (s *Sketch) ErrorBound() float64 { return s.errV }
 // Between two compressions the centroids depend only on the multiset of
 // values observed since the last one (equal values coalesce, the first-seen
 // value's bits win), and a one-at-a-time insert compresses on the first new
-// distinct value beyond budget·compressSlack centroids. So Observe parks at
-// most budget·compressSlack − len(cs) observations before it settles; with no
-// headroom left after settling it inserts directly, which compresses on the
-// same observation and the same centroids as before.
+// distinct value beyond budget·compressSlack centroids. So Observe settles
+// and checks for compression as soon as the settled centroids plus the
+// pending run could exceed that: if every parked value was new, compression
+// fires on the same observation and the same centroids as an insert would;
+// otherwise neither compresses.
 func (s *Sketch) Observe(v float64, n int64) {
 	if n <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
 	s.n += n
 	s.sum += v * float64(n)
-	limit := s.budget * compressSlack
-	if s.pending == settleRun || (s.budget > 0 && len(s.cs)+s.pending >= limit) {
-		s.settle()
-		if s.budget > 0 && len(s.cs) >= limit {
-			s.insert(v, n)
-			return
-		}
-	}
 	m := len(s.cs)
 	s.cs = append(s.cs[:m+s.pending], Centroid{V: v, N: n})[:m]
 	s.pending++
-}
-
-// insert files one observation straight into the settled centroids: a
-// binary search, then an increment or an insert that may compress.
-func (s *Sketch) insert(v float64, n int64) {
-	i := sort.Search(len(s.cs), func(i int) bool { return s.cs[i].V >= v })
-	if i < len(s.cs) && s.cs[i].V == v {
-		s.cs[i].N += n
-		return
+	if s.pending == settleRun || (s.budget > 0 && m+s.pending > s.budget*compressSlack) {
+		s.settle()
+		s.maybeCompress()
 	}
-	s.cs = append(s.cs, Centroid{})
-	copy(s.cs[i+1:], s.cs[i:])
-	s.cs[i] = Centroid{V: v, N: n}
-	s.maybeCompress()
 }
 
 // settleRun caps the pending run, so settle's scratch is a fixed-size stack
-// array and exact mode (which never runs out of headroom) settles in chunks.
+// array and exact mode (which never compresses) settles in chunks.
 const settleRun = 1024
 
 // runKey is one pending observation during a settle: its value as an
@@ -379,15 +361,33 @@ func (s *Sketch) compress() {
 				vn += s.cs[k].V * float64(s.cs[k].N)
 				n += s.cs[k].N
 			}
-			if cs := s.cs[end-1].V - s.cs[start].V; cs > maxSpan {
-				maxSpan = cs
+			lo, hi := s.cs[start].V, s.cs[end-1].V
+			if hi-lo > maxSpan {
+				maxSpan = hi - lo
 			}
-			out = append(out, Centroid{V: vn / float64(n), N: n})
+			mean := vn / float64(n)
+			if !(math.Abs(mean) <= math.MaxFloat64) {
+				mean = scaledMean(s.cs[start:end], n, lo, hi)
+			}
+			out = append(out, Centroid{V: mean, N: n})
 		}
 		start = end
 	}
 	s.cs = out
 	s.errV += maxSpan
+}
+
+// scaledMean is the weighted mean of cs (total count n, values in [lo, hi])
+// for a cluster whose Σ V·N overflows: each value is scaled by 2^-64 first,
+// so no partial sum can exceed MaxFloat64/2 (counts total below 2^63), and
+// the result is clamped into the cluster's span, where the exact mean lies.
+// Keeping every centroid finite keeps compress's width search terminating.
+func scaledMean(cs []Centroid, n int64, lo, hi float64) float64 {
+	var vn float64
+	for _, c := range cs {
+		vn += math.Ldexp(c.V, -64) * float64(c.N)
+	}
+	return min(max(math.Ldexp(vn/float64(n), 64), lo), hi)
 }
 
 // clusters counts the greedy left-to-right clusters of width w.
@@ -495,8 +495,9 @@ func DecodeSketch(b []byte) (*Sketch, []byte, error) {
 // validate checks the invariants every encoded sketch satisfies: centroid
 // values finite and strictly increasing, every count positive, the header
 // count equal to their sum, and a finite, non-negative error receipt.
-// (Compressing values near ±MaxFloat64 could overflow a weighted mean; no
-// fleet quantity comes near that range, and such a sketch is rejected too.)
+// (A cluster spanning more than MaxFloat64, possible only for values near
+// ±MaxFloat64, leaves an infinite error receipt; no fleet quantity comes near
+// that range, and such a sketch is rejected too.)
 func (s *Sketch) validate() error {
 	if math.IsNaN(s.errV) || math.IsInf(s.errV, 0) || s.errV < 0 {
 		return fmt.Errorf("stats: sketch error bound %v is not finite and non-negative", s.errV)

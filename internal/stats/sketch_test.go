@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 )
 
 // exactQuantile mirrors Sketch.Quantile on the raw sample: the smallest
@@ -375,9 +376,59 @@ func insertObserve(s *Sketch, v float64, n int64) {
 	s.maybeCompress()
 }
 
+// TestSketchCompressNearMaxFloat: finite observations near ±MaxFloat64 make
+// compress's Σ V·N overflow. Every centroid must stay finite and inside the
+// observed range, and Observe and Merge must return: an infinite centroid
+// would turn compress's span into NaN and its width search would never end.
+// The error receipt may be +Inf (a cluster spanning more than MaxFloat64
+// moves some observation farther than a float64 can say), never NaN.
+func TestSketchCompressNearMaxFloat(t *testing.T) {
+	const big = math.MaxFloat64
+	vals := []float64{-big, big, -big / 2, big / 2, -big, big / 3, 1, -big / 4}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for budget := 1; budget <= 3; budget++ {
+			for _, n := range []int64{1, 1 << 40} {
+				a, b := NewSketch(budget), NewSketch(budget)
+				for i, v := range vals {
+					a.Observe(v, n)
+					b.Observe(-vals[len(vals)-1-i], n)
+				}
+				a.Merge(b)
+				a.Merge(b)
+				if e := a.ErrorBound(); math.IsNaN(e) || e < 0 {
+					t.Errorf("budget %d n %d: ErrorBound %v", budget, n, e)
+				}
+				var total int64
+				for i, c := range a.Centroids() {
+					if math.IsInf(c.V, 0) || math.IsNaN(c.V) || (i > 0 && !(c.V > a.Centroids()[i-1].V)) {
+						t.Errorf("budget %d n %d: centroid %d %+v in %v", budget, n, i, c, a.Centroids())
+					}
+					total += c.N
+				}
+				if total != a.N() || a.N() != 3*int64(len(vals))*n {
+					t.Errorf("budget %d n %d: centroids hold %d of N %d", budget, n, total, a.N())
+				}
+				for q := 0.0; q <= 1; q += 0.125 {
+					if v := a.Quantile(q); math.IsInf(v, 0) || math.IsNaN(v) {
+						t.Errorf("budget %d n %d: Quantile(%v) = %v", budget, n, q, v)
+					}
+				}
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Observe or Merge did not return on values near ±MaxFloat64")
+	}
+}
+
 // fuzzValue decodes one observed value from two bytes, biased towards heavy
 // duplicates, both zeros and extreme magnitudes. The largest stay far enough
-// below MaxFloat64 that no weighted mean compress forms can overflow.
+// below MaxFloat64 that no weighted mean compress forms overflows;
+// TestSketchCompressNearMaxFloat covers that range.
 func fuzzValue(a, b byte) float64 {
 	switch a % 16 {
 	case 0:
