@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"eabrowse/internal/features"
 	"eabrowse/internal/gbrt"
@@ -48,110 +49,117 @@ func PredictorAblationFrom(ds *trace.Dataset) (*PredictorAblationResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	res := &PredictorAblationResult{}
 
-	// Every variant trains an independent model on the same (read-only)
-	// split, so the whole sweep is one flat job list on the worker pool.
-	// Rows land by job index, keeping the output order fixed.
-	type job func() (PredictorAblationRow, error)
-	var jobs []job
-
+	// Rows name GBRT variants, and some rows share one: the default model is
+	// also the "M = 400" row and the importance model, and the "J = 8" and
+	// "alpha = 2 s" rows are one 200-tree model. Each distinct (config,
+	// alpha) pair is trained and scored once, and its rows reuse the result.
+	type variant struct {
+		cfg   gbrt.Config
+		alpha float64
+	}
+	var variants []variant
+	variantOf := func(cfg gbrt.Config, alpha float64) int {
+		v := variant{cfg, alpha}
+		if i := slices.Index(variants, v); i >= 0 {
+			return i
+		}
+		variants = append(variants, v)
+		return len(variants) - 1
+	}
+	type namedRow struct {
+		name    string
+		variant int
+	}
 	// GBRT vs. the linear baseline Table 4 rules out, and per-user vs.
-	// global models. All trained with the interest threshold (the stronger
-	// setting for each).
-	var personal int
-	jobs = append(jobs,
-		func() (PredictorAblationRow, error) {
-			row, err := gbrtAccuracy(train, test, gbrt.DefaultConfig(), 2)
-			row.Name = "GBRT (default: M=400, J=8)"
-			return row, err
-		},
-		func() (PredictorAblationRow, error) {
-			return linearAccuracy(train, test, 2)
-		},
-		func() (PredictorAblationRow, error) {
-			row, n, err := perUserAccuracy(train, test, 2)
-			personal = n
-			return row, err
-		},
-	)
-
+	// global models, all trained with the interest threshold (the stronger
+	// setting for each); then forest size M, leaf budget J and threshold α.
+	def := variantOf(gbrt.DefaultConfig(), 2)
+	var trees, leaves, alphas []namedRow
 	for _, m := range []int{25, 100, 400} {
 		cfg := gbrt.DefaultConfig()
 		cfg.Trees = m
-		name := fmt.Sprintf("M = %d trees", m)
-		jobs = append(jobs, func() (PredictorAblationRow, error) {
-			row, err := gbrtAccuracy(train, test, cfg, 2)
-			row.Name = name
-			return row, err
-		})
+		trees = append(trees, namedRow{fmt.Sprintf("M = %d trees", m), variantOf(cfg, 2)})
 	}
-	treesEnd := len(jobs)
-
 	for _, j := range []int{2, 4, 8, 16} {
 		cfg := gbrt.DefaultConfig()
 		cfg.MaxLeaves = j
 		cfg.Trees = 200
-		name := fmt.Sprintf("J = %d leaves", j)
-		jobs = append(jobs, func() (PredictorAblationRow, error) {
-			row, err := gbrtAccuracy(train, test, cfg, 2)
-			row.Name = name
-			return row, err
-		})
+		leaves = append(leaves, namedRow{fmt.Sprintf("J = %d leaves", j), variantOf(cfg, 2)})
 	}
-	leavesEnd := len(jobs)
-
 	for _, alpha := range []float64{0, 1, 2, 3, 5} {
 		cfg := gbrt.DefaultConfig()
 		cfg.Trees = 200
-		a := alpha
-		name := fmt.Sprintf("alpha = %.0f s", alpha)
-		jobs = append(jobs, func() (PredictorAblationRow, error) {
-			row, err := gbrtAccuracy(train, test, cfg, a)
-			row.Name = name
-			return row, err
-		})
+		alphas = append(alphas, namedRow{fmt.Sprintf("alpha = %.0f s", alpha), variantOf(cfg, alpha)})
 	}
 
-	rows, err := runner.Collect(len(jobs), func(i int) (PredictorAblationRow, error) {
-		return jobs[i]()
-	})
+	// Every job trains on the same (read-only) split, so the sweep is one
+	// flat job list on the worker pool: the linear and per-user baselines,
+	// then one job per variant. Results land by job index.
+	type result struct {
+		row        PredictorAblationRow
+		importance []float64 // the default variant's only
+		personal   int
+	}
+	const baselines = 2
+	job := func(i int) (result, error) {
+		switch i {
+		case 0:
+			row, err := linearAccuracy(train, test, 2)
+			return result{row: row}, err
+		case 1:
+			row, n, err := perUserAccuracy(train, test, 2)
+			return result{row: row, personal: n}, err
+		}
+		v := variants[i-baselines]
+		row, p, err := gbrtAccuracy(train, test, v.cfg, v.alpha)
+		if err != nil || i-baselines != def {
+			return result{row: row}, err
+		}
+		return result{row: row, importance: p.FeatureImportance()}, nil
+	}
+	results, err := runner.Collect(baselines+len(variants), job)
 	if err != nil {
 		return nil, err
 	}
-	res.Baselines = rows[:3]
-	res.PersonalModels = personal
-	res.Trees = rows[3:treesEnd]
-	res.Leaves = rows[treesEnd:leavesEnd]
-	res.Alpha = rows[leavesEnd:]
-
-	// Importance of the default global model.
-	defaultModel, err := predictor.Train(train, predictor.Config{
-		GBRT: gbrt.DefaultConfig(), UseInterestThreshold: true, Alpha: 2,
-	})
-	if err != nil {
-		return nil, err
+	rowsOf := func(named []namedRow) []PredictorAblationRow {
+		rows := make([]PredictorAblationRow, len(named))
+		for i, nr := range named {
+			rows[i] = results[baselines+nr.variant].row
+			rows[i].Name = nr.name
+		}
+		return rows
 	}
-	copy(res.Importance[:], defaultModel.FeatureImportance())
+	res := &PredictorAblationResult{
+		Baselines: append(rowsOf([]namedRow{{"GBRT (default: M=400, J=8)", def}}),
+			results[0].row, results[1].row),
+		PersonalModels: results[1].personal,
+		Trees:          rowsOf(trees),
+		Leaves:         rowsOf(leaves),
+		Alpha:          rowsOf(alphas),
+	}
+	copy(res.Importance[:], results[baselines+def].importance)
 	return res, nil
 }
 
-func gbrtAccuracy(train, test []trace.Visit, cfg gbrt.Config, alpha float64) (PredictorAblationRow, error) {
+// gbrtAccuracy trains one GBRT predictor and scores it at Tp = 9 s and
+// Td = 20 s; the trained predictor is returned beside its row.
+func gbrtAccuracy(train, test []trace.Visit, cfg gbrt.Config, alpha float64) (PredictorAblationRow, *predictor.Predictor, error) {
 	pcfg := predictor.Config{GBRT: cfg, UseInterestThreshold: alpha > 0, Alpha: alpha}
 	p, err := predictor.Train(train, pcfg)
 	if err != nil {
-		return PredictorAblationRow{}, err
+		return PredictorAblationRow{}, nil, err
 	}
 	applyInterest := alpha > 0
 	a9, err := p.Evaluate(test, 9, applyInterest)
 	if err != nil {
-		return PredictorAblationRow{}, err
+		return PredictorAblationRow{}, nil, err
 	}
 	a20, err := p.Evaluate(test, 20, applyInterest)
 	if err != nil {
-		return PredictorAblationRow{}, err
+		return PredictorAblationRow{}, nil, err
 	}
-	return PredictorAblationRow{TpPct: a9.Pct(), TdPct: a20.Pct()}, nil
+	return PredictorAblationRow{TpPct: a9.Pct(), TdPct: a20.Pct()}, p, nil
 }
 
 // perUserAccuracy trains one model per user (the paper's deployment) and

@@ -58,3 +58,46 @@ func BenchmarkReferenceTrainFleetShape(b *testing.B) {
 		}
 	}
 }
+
+// paperShapeData is the shape the paper-reproduction experiments and every
+// trained predictor fit: about 1,700 visits of one trace, whose 10 Table 1
+// features come from a pool of 60 distinct pages, so every column is a few
+// dozen long tie runs; the reading-time targets are continuous.
+func paperShapeData() ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(78))
+	const pages, n, numF = 60, 1700, 10
+	pool := make([][]float64, pages)
+	for p := range pool {
+		row := make([]float64, numF)
+		for f := range row {
+			if f%3 == 0 {
+				row[f] = rng.Float64() * 1000
+			} else {
+				row[f] = float64(rng.Intn(40))
+			}
+		}
+		pool[p] = row
+	}
+	xs := make([][]float64, n)
+	ys := make([]float64, n)
+	for i := range xs {
+		row := pool[rng.Intn(pages)]
+		xs[i] = row
+		ys[i] = row[0]*0.02 + row[4]*0.5 + rng.ExpFloat64()*8
+	}
+	return xs, ys
+}
+
+// BenchmarkTrainPaperShape measures the presorted engine on the paper shape
+// with the default 400-tree configuration.
+func BenchmarkTrainPaperShape(b *testing.B) {
+	xs, ys := paperShapeData()
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(xs, ys, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package gbrt
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -180,5 +181,108 @@ func TestEquivalenceTiesStableReference(t *testing.T) {
 			t.Fatalf("trial %d: Train: %v", trial, err)
 		}
 		assertSameModel(t, fmt.Sprintf("stable-ties trial %d (n=%d F=%d cfg=%+v)", trial, n, numF, cfg), ref, got)
+	}
+}
+
+// fuzzFeature maps one byte to a feature value: dense ties, ±0, a spread of
+// distinct values, and extremes (subnormal, ±1e300) whose midpoints still
+// fit, so the reference's plain (lo+hi)/2 threshold is the engine's too.
+func fuzzFeature(b byte) float64 {
+	switch b >> 6 {
+	case 0:
+		return float64(b % 4)
+	case 1:
+		if b%2 == 0 {
+			return 0
+		}
+		return math.Copysign(0, -1)
+	case 2:
+		return float64(b&63)*0.37 - 9
+	default:
+		return []float64{-1e300, 1e300, 5e-324, -2.5}[b%4]
+	}
+}
+
+// checkTrainMatchesReference decodes data into a small training set and
+// configuration, trains it with Train and with the reference engine under
+// the canonical (value, sample index) tie rule, and requires the two saved
+// models to be byte-identical.
+//
+// Layout: five header bytes — feature count (1–13, so every remainder of a
+// multi-column group occurs), trees, J (2–16), shrinkage and MinSamplesLeaf
+// (1–5), and a column to hold constant — then one row per 1+F bytes: a
+// target byte whose top bit repeats the previous row's features, and F
+// feature bytes.
+func checkTrainMatchesReference(t *testing.T, data []byte) {
+	t.Helper()
+	const header, maxRows = 5, 96
+	if len(data) < header {
+		return
+	}
+	numF := 1 + int(data[0])%13
+	cfg := Config{
+		Trees:          1 + int(data[1])%12,
+		MaxLeaves:      2 + int(data[2])%15,
+		Shrinkage:      []float64{0.1, 0.5, 1}[data[3]%3],
+		MinSamplesLeaf: 1 + int(data[3]/3)%5,
+	}
+	constCol := int(data[4]) % 16 // no constant column when >= numF
+	var xs [][]float64
+	var ys []float64
+	for rest := data[header:]; len(rest) >= 1+numF && len(xs) < maxRows; rest = rest[1+numF:] {
+		row := make([]float64, numF)
+		if rest[0]&0x80 != 0 && len(xs) > 0 {
+			copy(row, xs[len(xs)-1])
+		} else {
+			for f := range row {
+				row[f] = fuzzFeature(rest[1+f])
+			}
+		}
+		if constCol < numF {
+			row[constCol] = 7
+		}
+		xs = append(xs, row)
+		ys = append(ys, float64(rest[0]&0x7f)*0.731-20)
+	}
+	if len(xs) == 0 {
+		return
+	}
+	trial := fmt.Sprintf("n=%d F=%d cfg=%+v", len(xs), numF, cfg)
+	ref, err := refTrain(xs, ys, cfg, true)
+	if err != nil {
+		t.Fatalf("%s: refTrain: %v", trial, err)
+	}
+	got, err := Train(xs, ys, cfg)
+	if err != nil {
+		t.Fatalf("%s: Train: %v", trial, err)
+	}
+	assertSameModel(t, trial, ref, got)
+}
+
+// FuzzTrainMatchesReference drives checkTrainMatchesReference with
+// arbitrary bytes:
+//
+//	go test ./internal/gbrt -run=FuzzTrainMatchesReference -fuzz=FuzzTrainMatchesReference -fuzztime=20s
+func FuzzTrainMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 3, 6, 0, 15, 10, 1, 20, 2, 40, 3, 60, 0, 80, 2, 100, 1})
+	f.Add([]byte{9, 5, 14, 4, 3,
+		1, 0, 64, 65, 128, 129, 192, 193, 194, 195, 3,
+		200, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+		77, 3, 66, 67, 140, 150, 160, 170, 180, 195, 2,
+		12, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+		140, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(checkTrainMatchesReference)
+}
+
+// TestTrainMatchesReferenceRandom runs the fuzz check on random inputs, so
+// plain go test covers every feature-count remainder, tie pattern and leaf
+// budget.
+func TestTrainMatchesReferenceRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for i := 0; i < 200; i++ {
+		data := make([]byte, 5+rng.Intn(700))
+		rng.Read(data)
+		checkTrainMatchesReference(t, data)
 	}
 }

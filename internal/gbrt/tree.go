@@ -15,13 +15,23 @@
 // fold a pure function of the data — independent of sort internals, worker
 // count, or iteration order — which is what keeps serialized models and
 // experiment output byte-identical run over run.
+//
+// Each sorted column entry is one rank-packed word: the dense rank of the
+// sample's feature value (±0 share a rank) above its sample index, so the
+// words ascend in exactly the (value, index) order and the split search
+// tests "equal value" by comparing neighbouring words, never reading the
+// feature rows. The split search folds several columns in one pass over a
+// leaf's range: each column's prefix sums are the same fold in the same
+// order as a one-column scan, but the independent chains overlap.
 package gbrt
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -97,17 +107,19 @@ type trainer struct {
 	// is detected here at presort time and never sorted, scanned, or
 	// partitioned.
 	feats []int
-	// master holds one n-length column per feats entry: the sample indices
-	// sorted by (feature value, sample index).
-	master []int32
+	// master holds one n-length column per feats entry: the rank-packed
+	// words (see pack) of every sample, ascending — sorted by (feature value,
+	// sample index).
+	master []uint64
 	// work is the per-tree copy of master; applied splits partition each of
 	// its columns stably in place, which keeps every column sorted by
 	// (value, index) within every node's range all the way down the tree.
-	work []int32
-	// mark flags the left-child samples while one split is being applied.
-	mark []bool
-	// scratch backs the right-hand side of each stable partition.
-	scratch []int32
+	work []uint64
+	// mark is 1 for the left-child samples while one split is being
+	// applied, 0 otherwise.
+	mark []uint8
+	// scratch receives each stable partition before it is copied back.
+	scratch []uint64
 	// leaves records, after each buildTree, the sample range and fitted
 	// value of every terminal node, so Train can update the boosted
 	// predictions in O(n) without walking the tree per sample.
@@ -122,6 +134,18 @@ type leafRange struct {
 	value  float64
 }
 
+// pack makes a column word: the dense rank of the sample's value within its
+// column in the high half, the sample index in the low half. Ordering words
+// is ordering (value, index); two words hold equal values exactly when their
+// high halves match.
+func pack(rank, sample int) uint64 { return uint64(rank)<<32 | uint64(sample) }
+
+// sampleOf returns the sample index of a column word.
+func sampleOf(w uint64) uint32 { return uint32(w) }
+
+// sameValue reports whether two column words hold equal feature values.
+func sameValue(a, b uint64) bool { return a>>32 == b>>32 }
+
 // newTrainer presorts the feature columns of xs. minLeaf is the smallest
 // admissible child size.
 func newTrainer(xs [][]float64, minLeaf int) (*trainer, error) {
@@ -133,8 +157,8 @@ func newTrainer(xs [][]float64, minLeaf int) (*trainer, error) {
 		xs:      xs,
 		n:       n,
 		minLeaf: minLeaf,
-		mark:    make([]bool, n),
-		scratch: make([]int32, n),
+		mark:    make([]uint8, n),
+		scratch: make([]uint64, n),
 	}
 	numFeatures := len(xs[0])
 	for f := 0; f < numFeatures; f++ {
@@ -149,27 +173,34 @@ func newTrainer(xs [][]float64, minLeaf int) (*trainer, error) {
 			tr.feats = append(tr.feats, f)
 		}
 	}
-	tr.master = make([]int32, len(tr.feats)*n)
-	tr.work = make([]int32, len(tr.feats)*n)
+	tr.master = make([]uint64, len(tr.feats)*n)
+	tr.work = make([]uint64, len(tr.feats)*n)
 	for k, f := range tr.feats {
 		col := tr.master[k*n : (k+1)*n]
 		for i := range col {
-			col[i] = int32(i)
+			col[i] = uint64(i)
 		}
-		f := f
-		sort.Slice(col, func(a, b int) bool {
-			va, vb := xs[col[a]][f], xs[col[b]][f]
-			if va != vb {
-				return va < vb
+		// -0 and +0 compare equal here, as in the equal-value test of the
+		// split search, so they share a rank and keep index order.
+		slices.SortFunc(col, func(a, b uint64) int {
+			if c := cmp.Compare(xs[a][f], xs[b][f]); c != 0 {
+				return c
 			}
-			return col[a] < col[b]
+			return cmp.Compare(a, b)
 		})
+		rank, prev := 0, xs[col[0]][f]
+		for i, idx := range col {
+			if v := xs[idx][f]; v != prev {
+				rank, prev = rank+1, v
+			}
+			col[i] = pack(rank, int(idx))
+		}
 	}
 	return tr, nil
 }
 
 // col returns working column k (the sorted sample order of feats[k]).
-func (tr *trainer) col(k int) []int32 {
+func (tr *trainer) col(k int) []uint64 {
 	return tr.work[k*tr.n : (k+1)*tr.n]
 }
 
@@ -270,25 +301,21 @@ func (tr *trainer) buildTree(ys []float64, maxLeaves int) *Tree {
 		// The right child's stats fold in the split column's sorted order —
 		// the order its samples will keep in every descendant scan.
 		var rightSum, rightSq float64
-		for _, idx := range ccol[nl:] {
-			y := ys[idx]
+		for _, w := range ccol[nl:] {
+			y := ys[sampleOf(w)]
 			rightSum += y
 			rightSq += y * y
 		}
 
-		// Partition every other column stably around the split; the split
-		// column is already partitioned by construction.
-		for _, idx := range ccol[:nl] {
-			tr.mark[idx] = true
+		// The split that spends the last leaf opens no candidate, so its
+		// children are never scanned: only column 0, from which addTo reads
+		// the leaf ranges, has to be partitioned.
+		final := leaves+1 == maxLeaves
+		cols := len(tr.feats)
+		if final {
+			cols = 1
 		}
-		for k := range tr.feats {
-			if k != c.slot {
-				stablePartition(tr.col(k)[c.lo:c.hi], tr.mark, tr.scratch)
-			}
-		}
-		for _, idx := range ccol[:nl] {
-			tr.mark[idx] = false
-		}
+		tr.partition(c, cols)
 
 		li := len(nodes)
 		nodes = append(nodes, treeNode{leaf: true, value: c.leftSum / float64(nl)})
@@ -309,13 +336,16 @@ func (tr *trainer) buildTree(ys []float64, maxLeaves int) *Tree {
 		right := &splitCandidate{node: ri, seq: seq + 2, lo: mid, hi: c.hi,
 			sum: rightSum, sq: rightSq}
 		seq += 2
+		leaves++
+		if final {
+			break
+		}
 		if tr.findBest(left) {
 			heap.Push(&open, left)
 		}
 		if tr.findBest(right) {
 			heap.Push(&open, right)
 		}
-		leaves++
 	}
 
 	for i := range nodes {
@@ -341,8 +371,8 @@ func (tr *trainer) addTo(current []float64, shrink float64) {
 	base := tr.col(0)
 	for _, lr := range tr.leaves {
 		d := shrink * lr.value
-		for _, idx := range base[lr.lo:lr.hi] {
-			current[idx] += d
+		for _, w := range base[lr.lo:lr.hi] {
+			current[sampleOf(w)] += d
 		}
 	}
 }
@@ -350,73 +380,195 @@ func (tr *trainer) addTo(current []float64, shrink float64) {
 // findBest computes the SSE-optimal (feature, threshold) split of the leaf
 // candidate c, scanning each presorted column with prefix sums, and reports
 // whether any split clears the minimum-gain floor.
+//
+// The columns are scanned four at a time (scan4), the rest one by one
+// (scan1). Each column keeps its own first maximum; comparing those in
+// ascending feature order with a strict ">" picks the split a single running
+// maximum over all features in order would pick.
 func (tr *trainer) findBest(c *splitCandidate) bool {
 	n := c.hi - c.lo
 	if n < 2*tr.minLeaf {
 		return false
 	}
-	totalSum, totalSq := c.sum, c.sq
-	parentSSE := totalSq - totalSum*totalSum/float64(n)
-	bestGain := 1e-12
-	found := false
-	for k, f := range tr.feats {
-		col := tr.col(k)[c.lo:c.hi]
-		var leftSum, leftSq float64
-		for pos := 0; pos < n-1; pos++ {
-			y := tr.ys[col[pos]]
-			leftSum += y
-			leftSq += y * y
-			// Cannot split between equal feature values.
-			if tr.xs[col[pos]][f] == tr.xs[col[pos+1]][f] {
-				continue
-			}
-			nl := pos + 1
-			nr := n - nl
-			if nl < tr.minLeaf || nr < tr.minLeaf {
-				continue
-			}
-			rightSum := totalSum - leftSum
-			rightSq := totalSq - leftSq
-			childSSE := (leftSq - leftSum*leftSum/float64(nl)) +
-				(rightSq - rightSum*rightSum/float64(nr))
-			gain := parentSSE - childSSE
-			if gain > bestGain {
-				bestGain = gain
-				c.feature = f
-				c.slot = k
-				c.splitPos = nl
-				lo, hi := tr.xs[col[pos]][f], tr.xs[col[pos+1]][f]
-				c.threshold = (lo + hi) / 2
-				if math.IsInf(c.threshold, 0) {
-					// lo+hi overflowed; halving first keeps the midpoint
-					// finite without moving any threshold that fits.
-					c.threshold = lo/2 + hi/2
-				}
-				c.gain = gain
-				c.leftSum = leftSum
-				c.leftSq = leftSq
-				found = true
-			}
+	p := scanParent{
+		ys:      tr.ys,
+		n:       n,
+		minLeaf: tr.minLeaf,
+		sum:     c.sum,
+		sq:      c.sq,
+		sse:     c.sq - c.sum*c.sum/float64(n),
+	}
+	best := colBest{gain: minSplitGain}
+	bestSlot := -1
+	take := func(k int, b colBest) {
+		if b.gain > best.gain {
+			best, bestSlot = b, k
 		}
 	}
-	return found
+	k := 0
+	for ; k+4 <= len(tr.feats); k += 4 {
+		b0, b1, b2, b3 := p.scan4(tr.col(k)[c.lo:c.hi], tr.col(k + 1)[c.lo:c.hi],
+			tr.col(k + 2)[c.lo:c.hi], tr.col(k + 3)[c.lo:c.hi])
+		take(k, b0)
+		take(k+1, b1)
+		take(k+2, b2)
+		take(k+3, b3)
+	}
+	for ; k < len(tr.feats); k++ {
+		take(k, p.scan1(tr.col(k)[c.lo:c.hi]))
+	}
+	if bestSlot < 0 {
+		return false
+	}
+	f := tr.feats[bestSlot]
+	col := tr.col(bestSlot)[c.lo:c.hi]
+	lo, hi := tr.xs[sampleOf(col[best.pos])][f], tr.xs[sampleOf(col[best.pos+1])][f]
+	c.threshold = (lo + hi) / 2
+	if math.IsInf(c.threshold, 0) {
+		// lo+hi overflowed; halving first keeps the midpoint finite without
+		// moving any threshold that fits.
+		c.threshold = lo/2 + hi/2
+	}
+	c.feature = f
+	c.slot = bestSlot
+	c.splitPos = best.pos + 1
+	c.gain = best.gain
+	c.leftSum = best.leftSum
+	c.leftSq = best.leftSq
+	return true
 }
 
-// stablePartition reorders col so the marked (left-child) samples come
-// first, preserving relative order on both sides — the invariant that keeps
-// every column sorted by (feature value, sample index) down the tree.
-func stablePartition(col []int32, mark []bool, scratch []int32) {
-	w, s := 0, 0
-	for _, idx := range col {
-		if mark[idx] {
-			col[w] = idx
-			w++
-		} else {
-			scratch[s] = idx
-			s++
+// minSplitGain is the SSE reduction a split must exceed to be applied.
+const minSplitGain = 1e-12
+
+// scanParent is what every column scan of one leaf shares: the residuals,
+// the leaf's size, its ys fold and its SSE.
+type scanParent struct {
+	ys           []float64
+	n, minLeaf   int
+	sum, sq, sse float64
+}
+
+// colBest is one column's best boundary: the first position whose gain is
+// the column's maximum, and the prefix fold through it.
+type colBest struct {
+	gain            float64
+	pos             int // the boundary lies between pos and pos+1
+	leftSum, leftSq float64
+}
+
+// consider scores the boundary between pos and pos+1, whose prefix fold
+// through pos is leftSum/leftSq, and keeps it if it beats b.
+func (p *scanParent) consider(b *colBest, pos int, leftSum, leftSq float64) {
+	nl := pos + 1
+	nr := p.n - nl
+	rightSum := p.sum - leftSum
+	rightSq := p.sq - leftSq
+	childSSE := (leftSq - leftSum*leftSum/float64(nl)) +
+		(rightSq - rightSum*rightSum/float64(nr))
+	gain := p.sse - childSSE
+	if gain > b.gain {
+		*b = colBest{gain: gain, pos: pos, leftSum: leftSum, leftSq: leftSq}
+	}
+}
+
+// scan1 finds the best boundary of one sorted column. Positions before
+// minLeaf-1 are only folded, since the left child would be too small; the
+// scan stops at the last boundary that leaves minLeaf samples on the right.
+func (p *scanParent) scan1(col []uint64) colBest {
+	b := colBest{gain: minSplitGain, pos: -1}
+	ys := p.ys
+	first, last := p.minLeaf-1, p.n-p.minLeaf-1
+	col = col[:last+2]
+	var s, q float64
+	for pos := 0; pos <= last; pos++ {
+		y := ys[sampleOf(col[pos])]
+		s += y
+		q += y * y
+		if pos >= first && !sameValue(col[pos], col[pos+1]) {
+			p.consider(&b, pos, s, q)
 		}
 	}
-	copy(col[w:], scratch[:s])
+	return b
+}
+
+// scan4 is scan1 on four columns in one pass: their folds are independent,
+// so the four floating-point chains run side by side.
+func (p *scanParent) scan4(c0, c1, c2, c3 []uint64) (b0, b1, b2, b3 colBest) {
+	b0 = colBest{gain: minSplitGain, pos: -1}
+	b1, b2, b3 = b0, b0, b0
+	ys := p.ys
+	first, last := p.minLeaf-1, p.n-p.minLeaf-1
+	m := last + 2
+	c0, c1, c2, c3 = c0[:m], c1[:m], c2[:m], c3[:m]
+	var s0, q0, s1, q1, s2, q2, s3, q3 float64
+	for pos := 0; pos <= last; pos++ {
+		y0, y1 := ys[sampleOf(c0[pos])], ys[sampleOf(c1[pos])]
+		y2, y3 := ys[sampleOf(c2[pos])], ys[sampleOf(c3[pos])]
+		s0 += y0
+		q0 += y0 * y0
+		s1 += y1
+		q1 += y1 * y1
+		s2 += y2
+		q2 += y2 * y2
+		s3 += y3
+		q3 += y3 * y3
+		if pos < first {
+			continue
+		}
+		if !sameValue(c0[pos], c0[pos+1]) {
+			p.consider(&b0, pos, s0, q0)
+		}
+		if !sameValue(c1[pos], c1[pos+1]) {
+			p.consider(&b1, pos, s1, q1)
+		}
+		if !sameValue(c2[pos], c2[pos+1]) {
+			p.consider(&b2, pos, s2, q2)
+		}
+		if !sameValue(c3[pos], c3[pos+1]) {
+			p.consider(&b3, pos, s3, q3)
+		}
+	}
+	return b0, b1, b2, b3
+}
+
+// partition applies c's split to work columns 0..cols-1: each is stably
+// partitioned around it over c's range. The split column is already
+// partitioned by construction.
+func (tr *trainer) partition(c *splitCandidate, cols int) {
+	left := tr.col(c.slot)[c.lo : c.lo+c.splitPos]
+	for _, w := range left {
+		tr.mark[sampleOf(w)] = 1
+	}
+	for k := 0; k < cols; k++ {
+		if k != c.slot {
+			stablePartition(tr.col(k)[c.lo:c.hi], c.splitPos, tr.mark, tr.scratch)
+		}
+	}
+	for _, w := range left {
+		tr.mark[sampleOf(w)] = 0
+	}
+}
+
+// stablePartition reorders col so its nl marked (left-child) samples come
+// first, preserving relative order on both sides — the invariant that keeps
+// every column sorted by (feature value, sample index) down the tree. Each
+// word is stored once, at its final place in scratch, chosen by its mark
+// without a branch; the range is then copied back.
+func stablePartition(col []uint64, nl int, mark []uint8, scratch []uint64) {
+	scratch = scratch[:len(col)]
+	l, r := 0, nl
+	for _, x := range col {
+		m := int(mark[sampleOf(x)])
+		d := r
+		if m != 0 {
+			d = l
+		}
+		scratch[d] = x
+		l += m
+		r += 1 - m
+	}
+	copy(col, scratch)
 }
 
 // buildTree grows a single tree on a fresh trainer — the one-shot entry
