@@ -211,7 +211,8 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// calNode is one event held in the calendar's ring, linked into its bucket.
+// calNode is one event held in a bucket of the calendar's ring other than
+// the current one, linked into the bucket's chain.
 type calNode struct {
 	at   time.Duration
 	seq  uint64
@@ -226,22 +227,30 @@ type calNode struct {
 // and move into the ring as cur advances. Every event is scheduled at or
 // after the last one popped, so the current bucket's minimum (at, seq) is the
 // queue's minimum, and pop returns exactly the sequence a heap would.
+//
+// The current bucket's events are not in its chain but in run[next:], sorted
+// by (at, seq): the chain is sorted into the run once, when the queue
+// reaches the bucket, and a push into the current bucket is inserted into
+// the run's unread part, so a pop takes the run's head instead of scanning
+// the bucket.
 type calendar struct {
 	nodes    []calNode // nodes[0] is the nil sentinel
 	free     int32     // head of the free-node list
 	heads    []int32   // first node of each bucket, 0 when empty
+	run      []event   // the current bucket's events; run[next:] are unread
+	next     int
 	shift    uint
 	mask     int64
 	cur      int64 // absolute index (at >> shift) of the current bucket
-	inRing   int
+	inRing   int   // events in the chains and the run
 	overflow eventHeap
 }
 
 // newCalendar sizes the queue for a run of users on cfg. Each user always has
 // exactly one pending arrival and at most Channels departures are in flight,
-// so users+Channels nodes (and as much overflow) never run out, and a run
-// allocates nothing after this. A bucket is the power of two in ns at or
-// below 4·λ/users, two to four mean arrival gaps wide, and the ring is the
+// so users+Channels nodes (and as much run and overflow) never run out, and
+// a run allocates nothing after this. A bucket is the power of two in ns at
+// or below 4·λ/users, two to four mean arrival gaps wide, and the ring is the
 // power-of-two bucket count spanning at least 8λ, so only the e^-8 (0.03%)
 // of arrivals drawn that far ahead and departures longer than 8λ overflow.
 func newCalendar(users int, cfg Config) calendar {
@@ -249,6 +258,7 @@ func newCalendar(users int, cfg Config) calendar {
 	q := calendar{
 		nodes:    make([]calNode, n+1),
 		free:     1,
+		run:      make([]event, 0, n),
 		shift:    uint(bits.Len64(uint64(cfg.MeanSessionInterval)/uint64(users))) + 1,
 		overflow: make(eventHeap, 0, n),
 	}
@@ -272,20 +282,56 @@ func (q *calendar) push(e event) {
 		q.overflow.push(e)
 		return
 	}
+	q.inRing++
+	if b == q.cur {
+		q.insert(e)
+		return
+	}
 	i := q.free
 	n := &q.nodes[i]
 	q.free = n.next
 	head := &q.heads[b&q.mask]
 	*n = calNode{at: e.at, seq: e.seq, next: *head, dep: e.dep}
 	*head = i
-	q.inRing++
+}
+
+// insert places e into the run's unread part. A run at its capacity first
+// moves its unread part down over the events already popped; that always
+// makes room, since the run never holds more than the users+Channels pending
+// events.
+func (q *calendar) insert(e event) {
+	if len(q.run) == cap(q.run) {
+		q.run = q.run[:copy(q.run, q.run[q.next:])]
+		q.next = 0
+	}
+	q.run = insertSorted(q.run, q.next, e)
+}
+
+// insertSorted inserts e into run[lo:], which is sorted by (at, seq), moving
+// the later events up one; run must have spare capacity.
+func insertSorted(run []event, lo int, e event) []event {
+	j := len(run)
+	run = run[:j+1]
+	for ; j > lo; j-- {
+		p := &run[j-1]
+		if p.at < e.at || p.at == e.at && p.seq < e.seq {
+			break
+		}
+		run[j] = *p
+	}
+	run[j] = e
+	return run
 }
 
 // pop removes and returns the earliest event by (at, seq). The queue must not
 // be empty; simulate's never is, since every user always has an arrival
-// pending.
+// pending. Once the run is drained, pop advances to the next bucket (jumping
+// to the overflow's first bucket when the ring is empty), moves the overflow
+// events now inside the window into the ring, and sorts the new current
+// bucket's chain into the run, freeing its nodes.
 func (q *calendar) pop() event {
-	for q.heads[q.cur&q.mask] == 0 {
+	for q.next == len(q.run) {
+		q.run, q.next = q.run[:0], 0
 		if q.inRing == 0 {
 			q.cur = int64(q.overflow[0].at) >> q.shift
 		} else {
@@ -294,21 +340,21 @@ func (q *calendar) pop() event {
 		for len(q.overflow) > 0 && int64(q.overflow[0].at)>>q.shift-q.cur <= q.mask {
 			q.push(q.overflow.pop())
 		}
-	}
-	best := &q.heads[q.cur&q.mask]
-	for link := &q.nodes[*best].next; *link != 0; link = &q.nodes[*link].next {
-		n, b := &q.nodes[*link], &q.nodes[*best]
-		if n.at < b.at || n.at == b.at && n.seq < b.seq {
-			best = link
+		head := &q.heads[q.cur&q.mask]
+		run, free := q.run, q.free
+		for i := *head; i != 0; {
+			n := &q.nodes[i]
+			run = insertSorted(run, 0, event{at: n.at, seq: n.seq, dep: n.dep})
+			next := n.next
+			n.next, free = free, i
+			i = next
 		}
+		q.run, q.free, *head = run, free, 0
 	}
-	i := *best
-	n := &q.nodes[i]
-	*best = n.next
-	n.next = q.free
-	q.free = i
+	e := q.run[q.next]
+	q.next++
 	q.inRing--
-	return event{at: n.at, seq: n.seq, dep: n.dep}
+	return e
 }
 
 // simulate is the one Erlang-loss event loop behind Simulate and

@@ -161,15 +161,32 @@ func TestDeterministicWithSeed(t *testing.T) {
 
 // TestCalendarMatchesHeap drives the calendar queue and a plain eventHeap
 // through the same monotone push/pop sequence and requires the same pops.
-// The gaps span same-instant ties, in-bucket, in-ring and far-overflow
-// distances, so the queue also jumps over an empty ring.
+// The "spread" gaps span same-instant ties, in-bucket, in-ring and
+// far-overflow distances, so the queue also jumps over an empty ring. The
+// "drain" gaps are fractions of one bucket, so most pushes land in the bucket
+// being drained: same-at ties, zero-delay departures and arrivals inside the
+// bucket, inserted into the sorted run ahead of and behind its unread
+// events, often enough that the run fills its buffer and compacts.
 func TestCalendarMatchesHeap(t *testing.T) {
 	cfg := Config{Channels: 8, MeanSessionInterval: 25 * time.Second}
-	gaps := []time.Duration{0, 1, time.Millisecond, 3 * time.Second, 25 * time.Second,
-		5 * time.Minute, 48 * time.Hour}
-	for _, users := range []int{1, 5, 300} {
-		rng := rand.New(rand.NewSource(int64(users)))
-		q := newCalendar(users, cfg)
+	spread := func(time.Duration) []time.Duration {
+		return []time.Duration{0, 1, time.Millisecond, 3 * time.Second, 25 * time.Second,
+			5 * time.Minute, 48 * time.Hour}
+	}
+	drain := func(width time.Duration) []time.Duration {
+		return []time.Duration{0, 0, 1, width / 7, width / 3, width - 1}
+	}
+	for _, c := range []struct {
+		name  string
+		users int
+		gaps  func(width time.Duration) []time.Duration
+	}{
+		{"spread", 1, spread}, {"spread", 5, spread}, {"spread", 300, spread},
+		{"drain", 1, drain}, {"drain", 5, drain}, {"drain", 300, drain},
+	} {
+		rng := rand.New(rand.NewSource(int64(c.users)))
+		q := newCalendar(c.users, cfg)
+		gaps := c.gaps(1 << q.shift)
 		var h eventHeap
 		var seq uint64
 		var now time.Duration
@@ -182,13 +199,14 @@ func TestCalendarMatchesHeap(t *testing.T) {
 			h.push(e)
 			pending++
 		}
-		for i := 0; i < users; i++ {
+		for i := 0; i < c.users; i++ {
 			push()
 		}
 		for step := 0; step < 20_000; step++ {
 			got, want := q.pop(), h.pop()
 			if got != want {
-				t.Fatalf("users %d step %d: calendar popped %+v, heap %+v", users, step, got, want)
+				t.Fatalf("%s, users %d, step %d: calendar popped %+v, heap %+v",
+					c.name, c.users, step, got, want)
 			}
 			now = got.at
 			pending--
@@ -198,7 +216,7 @@ func TestCalendarMatchesHeap(t *testing.T) {
 			if pending == 0 {
 				n = 1 + rng.Intn(2)
 			}
-			for ; n > 0 && pending < users+cfg.Channels; n-- {
+			for ; n > 0 && pending < c.users+cfg.Channels; n-- {
 				push()
 			}
 		}
@@ -207,36 +225,48 @@ func TestCalendarMatchesHeap(t *testing.T) {
 
 // TestSimulateAllocs gates the engine's allocations as per run, not per
 // event: a run ten times as long allocates exactly as often. The cases cover
-// a Fig. 11-sized population, fleet scale (where arrivals past the ring's
-// span reach the overflow heap most often) and departures that all overflow.
+// a Fig. 11-sized population through both entry points (Simulate's uniform
+// sampler is Fig. 11's path, where departures fill each bucket's sorted run),
+// fleet scale (where arrivals past the ring's span reach the overflow heap
+// most often) and departures that all overflow.
 func TestSimulateAllocs(t *testing.T) {
 	spread := referenceDists(t)[1]
 	long := &Dist{}
 	if err := long.Add(1000, 1); err != nil {
 		t.Fatal(err)
 	}
+	dist := func(d *Dist) func(int, Config) (Result, error) {
+		return func(users int, cfg Config) (Result, error) { return SimulateDist(users, d, cfg) }
+	}
 	// Collect once first: the runtime's first GC starts its mark workers,
 	// whose allocations would be charged to whichever run triggered it.
 	runtime.GC()
 	for _, c := range []struct {
-		users int
-		d     *Dist
-	}{{400, spread}, {50_000, spread}, {400, long}} {
+		name     string
+		users    int
+		simulate func(int, Config) (Result, error)
+	}{
+		{"SimulateDist, spread", 400, dist(spread)},
+		{"SimulateDist, spread", 50_000, dist(spread)},
+		{"SimulateDist, 1000 s", 400, dist(long)},
+		{"Simulate, fig11Service", 600, func(users int, cfg Config) (Result, error) {
+			return Simulate(users, fig11Service, cfg)
+		}},
+	} {
 		var allocs [2]float64
 		for i, dur := range []time.Duration{2 * time.Minute, 20 * time.Minute} {
 			cfg := DefaultConfig()
 			cfg.Duration = dur
 			allocs[i] = testing.AllocsPerRun(2, func() {
-				if _, err := SimulateDist(c.users, c.d, cfg); err != nil {
+				if _, err := c.simulate(c.users, cfg); err != nil {
 					t.Fatal(err)
 				}
 			})
 		}
-		t.Logf("%d users, mean service %.1f s: %v allocs/run at 2 min, %v at 20 min",
-			c.users, c.d.Mean(), allocs[0], allocs[1])
+		t.Logf("%s, %d users: %v allocs/run at 2 min, %v at 20 min", c.name, c.users, allocs[0], allocs[1])
 		if allocs[0] != allocs[1] {
-			t.Errorf("%d users: %v allocs at 2 min but %v at 20 min; want a count per run, not per event",
-				c.users, allocs[0], allocs[1])
+			t.Errorf("%s, %d users: %v allocs at 2 min but %v at 20 min; want a count per run, not per event",
+				c.name, c.users, allocs[0], allocs[1])
 		}
 	}
 }

@@ -301,7 +301,9 @@ func serviceBytes(vals ...float64) []byte {
 // SimulateDist. The seed corpus reaches the calendar queue's edge cases:
 // departures tied with their own arrival (1e-12 s truncates to 0 ns), events
 // sharing a nanosecond, departures far beyond the ring's 8λ span (the
-// overflow heap, both left pending and drained back), and a single user.
+// overflow heap, both left pending and drained back), a single user, and
+// buckets crowded enough that the current bucket's sorted run takes most
+// pushes.
 func FuzzSimulateMatchesReference(f *testing.F) {
 	// λ is 1 + intervalNs ns; the run lasts 1 ns + durationPermille/1000 λ.
 	f.Add(uint16(0), uint8(0), int64(42), uint64(25e9-1), uint32(119_000), serviceBytes(2.5))
@@ -314,6 +316,10 @@ func FuzzSimulateMatchesReference(f *testing.F) {
 	// A 3 ns λ puts many events on the same nanosecond, so the (at, seq)
 	// tie order decides which of an arrival and a departure comes first.
 	f.Add(uint16(49), uint8(3), int64(5), uint64(2), uint32(100_000), serviceBytes(1e-12, 2e-9, 5e-9))
+	// A 1 ns λ over 999 users fills each 2 ns bucket with hundreds of
+	// events, so most pushes, zero-delay departures included, are inserted
+	// into the sorted run of the bucket being drained.
+	f.Add(uint16(998), uint8(15), int64(11), uint64(0), uint32(20_000), serviceBytes(1e-12, 1e-9, 4e-9))
 	f.Fuzz(func(t *testing.T, users uint16, channels uint8, seed int64, intervalNs uint64, durationPermille uint32, service []byte) {
 		if len(service) < 8 || len(service) > 64 || len(service)%8 != 0 {
 			t.Skip("want 1-8 service values")

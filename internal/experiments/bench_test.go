@@ -243,6 +243,28 @@ func BenchmarkFleetFromShards(b *testing.B) {
 	}
 }
 
+// BenchmarkFig11 times Fig. 11 end to end after one warm-up call (which
+// fills the page corpora): the per-page transmission-time loads and the 40
+// capacity simulations. At pool=1 every simulation runs in series, so the
+// figure moves with the capacity engine alone; pool=2 adds the fan-out.
+func BenchmarkFig11(b *testing.B) {
+	if _, err := Fig11(); err != nil {
+		b.Fatal(err)
+	}
+	prev := runner.Workers()
+	defer runner.SetWorkers(prev)
+	for _, workers := range []int{1, 2} {
+		b.Run("pool="+strconv.Itoa(workers), func(b *testing.B) {
+			runner.SetWorkers(workers)
+			for i := 0; i < b.N; i++ {
+				if _, err := Fig11(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchVmHWM reads the process peak resident set (kB) from
 // /proc/self/status; 0 when the file is unavailable (non-Linux).
 func benchVmHWM() int64 {

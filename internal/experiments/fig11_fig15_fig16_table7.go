@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"eabrowse/internal/browser"
@@ -37,10 +38,56 @@ type Fig11Result struct {
 	Full   *Fig11Bench
 }
 
+// fig11Sweeps are the user counts Fig. 11 sweeps on the mobile and the full
+// benchmark.
+var fig11Sweeps = [2][]int{
+	{300, 350, 400, 450, 500, 550, 600, 650, 700},
+	{200, 220, 240, 260, 280, 300, 320, 340, 360},
+}
+
+// fig11Modes are the pipelines of each benchmark's two curves, in order.
+var fig11Modes = [2]browser.Mode{browser.ModeOriginal, browser.ModeEnergyAware}
+
+// fig11Task is one capacity simulation job of Fig. 11: curve c (benchmark
+// c/2, pipeline fig11Modes[c%2]) at sweep point slot, or its SupportedUsers
+// search when slot is the sweep's length.
+type fig11Task struct{ curve, slot int }
+
+// fig11Order lists Fig. 11's 40 capacity jobs in pool order, longest first,
+// since a run's events grow with its users. The four searches come first: a
+// search runs every population its doubling and bisection visit, up to about
+// twice its answer, so each costs more than any sweep point, and the mobile
+// benchmark's (about 500 users) and the aware pipeline's (the larger answer
+// of each benchmark) cost most. The 36 sweep points follow by falling
+// population.
+func fig11Order() []fig11Task {
+	var tasks, points []fig11Task
+	for _, c := range []int{1, 0, 3, 2} {
+		tasks = append(tasks, fig11Task{c, len(fig11Sweeps[c/2])})
+	}
+	for c := range 4 {
+		for slot := range fig11Sweeps[c/2] {
+			points = append(points, fig11Task{c, slot})
+		}
+	}
+	slices.SortStableFunc(points, func(a, b fig11Task) int {
+		return fig11Sweeps[b.curve/2][b.slot] - fig11Sweeps[a.curve/2][a.slot]
+	})
+	return append(tasks, points...)
+}
+
 // Fig11 reproduces Fig. 11: the M/G/200 Erlang-loss simulation fed with the
 // measured per-page data-transmission times of each pipeline. The paper
 // reports 14.3% more users on the mobile benchmark and 19.6% on the full
 // benchmark at equal dropping probability.
+//
+// The four curves' nine sweep points and capacity searches are 40
+// independent simulations, each seeded from the same config and reading only
+// its curve's service times, so they run as separate pool tasks, longest
+// first (fig11Order). Each task writes its own result slot, and the curves
+// are assembled afterwards, so every pool size returns the same bytes.
+// Errors are checked in the serial order (benchmark, pipeline, sweep points
+// before the search), so a failing run returns the same error too.
 func Fig11() (*Fig11Result, error) {
 	mobile, err := MobilePages()
 	if err != nil {
@@ -50,50 +97,55 @@ func Fig11() (*Fig11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig11Result{}
-	if res.Mobile, err = fig11Bench("mobile benchmark", mobile,
-		[]int{300, 350, 400, 450, 500, 550, 600, 650, 700}); err != nil {
-		return nil, err
+	benches := [2][]*webpage.Page{mobile, full}
+	var service [4][]float64
+	for c := range service {
+		if service[c], err = transmissionTimes(benches[c/2], fig11Modes[c%2]); err != nil {
+			return nil, err
+		}
 	}
-	if res.Full, err = fig11Bench("full benchmark", full,
-		[]int{200, 220, 240, 260, 280, 300, 320, 340, 360}); err != nil {
-		return nil, err
+	cfg := capacity.DefaultConfig()
+	var curves [4]Fig11Curve
+	var errs [4][]error
+	for c := range curves {
+		sweep := fig11Sweeps[c/2]
+		curves[c] = Fig11Curve{Mode: fig11Modes[c%2], Users: sweep, DropPct: make([]float64, len(sweep))}
+		errs[c] = make([]error, len(sweep)+1)
 	}
-	return res, nil
+	tasks := fig11Order()
+	_ = runner.Map(len(tasks), func(i int) error {
+		t := tasks[i]
+		curve, svc, err := &curves[t.curve], service[t.curve], &errs[t.curve][t.slot]
+		if t.slot == len(curve.Users) {
+			curve.SupportedAt2Pct, *err = capacity.SupportedUsers(svc, 2, cfg)
+			return nil
+		}
+		var r capacity.Result
+		r, *err = capacity.Simulate(curve.Users[t.slot], svc, cfg)
+		curve.DropPct[t.slot] = r.DropPercent
+		return nil
+	})
+	for _, e := range errs {
+		for _, err := range e {
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	return &Fig11Result{
+		Mobile: fig11Bench("mobile benchmark", curves[0], curves[1]),
+		Full:   fig11Bench("full benchmark", curves[2], curves[3]),
+	}, nil
 }
 
-func fig11Bench(label string, pages []*webpage.Page, sweep []int) (*Fig11Bench, error) {
-	bench := &Fig11Bench{Label: label}
-	cfg := capacity.DefaultConfig()
-	for _, mode := range []browser.Mode{browser.ModeOriginal, browser.ModeEnergyAware} {
-		service, err := transmissionTimes(pages, mode)
-		if err != nil {
-			return nil, err
-		}
-		curve := Fig11Curve{Mode: mode, Users: sweep}
-		results, err := capacity.Sweep(sweep, service, cfg)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range results {
-			curve.DropPct = append(curve.DropPct, r.DropPercent)
-		}
-		supported, err := capacity.SupportedUsers(service, 2, cfg)
-		if err != nil {
-			return nil, err
-		}
-		curve.SupportedAt2Pct = supported
-		if mode == browser.ModeOriginal {
-			bench.Original = curve
-		} else {
-			bench.Aware = curve
-		}
+// fig11Bench pairs one benchmark's two curves and computes its capacity gain.
+func fig11Bench(label string, original, aware Fig11Curve) *Fig11Bench {
+	bench := &Fig11Bench{Label: label, Original: original, Aware: aware}
+	if original.SupportedAt2Pct > 0 {
+		bench.CapacityGainPct = float64(aware.SupportedAt2Pct-original.SupportedAt2Pct) /
+			float64(original.SupportedAt2Pct) * 100
 	}
-	if bench.Original.SupportedAt2Pct > 0 {
-		bench.CapacityGainPct = float64(bench.Aware.SupportedAt2Pct-bench.Original.SupportedAt2Pct) /
-			float64(bench.Original.SupportedAt2Pct) * 100
-	}
-	return bench, nil
+	return bench
 }
 
 // transmissionTimes loads every page once under mode (in parallel, collected

@@ -78,6 +78,32 @@ func TestFleetParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestFig11ParallelDeterminism runs Fig. 11's 40 capacity simulations inline
+// at one worker and concurrently at eight; each task writes its own slot,
+// so the curves and searches must come out identical.
+func TestFig11ParallelDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Fig. 11's capacity simulations are slow")
+	}
+	var seq, par *Fig11Result
+	withWorkers(t, 1, func() {
+		var err error
+		if seq, err = Fig11(); err != nil {
+			t.Fatalf("sequential Fig11: %v", err)
+		}
+	})
+	withWorkers(t, 8, func() {
+		var err error
+		if par, err = Fig11(); err != nil {
+			t.Fatalf("parallel Fig11: %v", err)
+		}
+	})
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("Fig. 11 diverged between 1 and 8 workers:\nseq: %+v %+v\npar: %+v %+v",
+			*seq.Mobile, *seq.Full, *par.Mobile, *par.Full)
+	}
+}
+
 func TestFleetRejectsBadConfig(t *testing.T) {
 	for _, cfg := range []FleetConfig{
 		{Users: 0, HoursPerUser: 1},
