@@ -246,10 +246,17 @@ type calendar struct {
 	overflow eventHeap
 }
 
+// runStart is the current-bucket run's starting capacity. A bucket holds
+// about 2–8 events at every population the experiments simulate; only a
+// crowded one (a mean arrival gap of a few ns) grows the run, which holds
+// one bucket's events and so never outgrows the largest bucket.
+const runStart = 32
+
 // newCalendar sizes the queue for a run of users on cfg. Each user always has
 // exactly one pending arrival and at most Channels departures are in flight,
-// so users+Channels nodes (and as much run and overflow) never run out, and
-// a run allocates nothing after this. A bucket is the power of two in ns at
+// so users+Channels nodes (and as much overflow) never run out, and a run
+// allocates nothing after this unless a crowded bucket grows the current
+// bucket's run. A bucket is the power of two in ns at
 // or below 4·λ/users, two to four mean arrival gaps wide, and the ring is the
 // power-of-two bucket count spanning at least 8λ, so only the e^-8 (0.03%)
 // of arrivals drawn that far ahead and departures longer than 8λ overflow.
@@ -258,7 +265,7 @@ func newCalendar(users int, cfg Config) calendar {
 	q := calendar{
 		nodes:    make([]calNode, n+1),
 		free:     1,
-		run:      make([]event, 0, n),
+		run:      make([]event, 0, min(n, runStart)),
 		shift:    uint(bits.Len64(uint64(cfg.MeanSessionInterval)/uint64(users))) + 1,
 		overflow: make(eventHeap, 0, n),
 	}
@@ -284,7 +291,7 @@ func (q *calendar) push(e event) {
 	}
 	q.inRing++
 	if b == q.cur {
-		q.insert(e)
+		q.run = insertSorted(q.run, q.next, e)
 		return
 	}
 	i := q.free
@@ -295,23 +302,11 @@ func (q *calendar) push(e event) {
 	*head = i
 }
 
-// insert places e into the run's unread part. A run at its capacity first
-// moves its unread part down over the events already popped; that always
-// makes room, since the run never holds more than the users+Channels pending
-// events.
-func (q *calendar) insert(e event) {
-	if len(q.run) == cap(q.run) {
-		q.run = q.run[:copy(q.run, q.run[q.next:])]
-		q.next = 0
-	}
-	q.run = insertSorted(q.run, q.next, e)
-}
-
 // insertSorted inserts e into run[lo:], which is sorted by (at, seq), moving
-// the later events up one; run must have spare capacity.
+// the later events up one; a full run grows.
 func insertSorted(run []event, lo int, e event) []event {
-	j := len(run)
-	run = run[:j+1]
+	run = append(run, e)
+	j := len(run) - 1
 	for ; j > lo; j-- {
 		p := &run[j-1]
 		if p.at < e.at || p.at == e.at && p.seq < e.seq {

@@ -178,8 +178,13 @@ func TrainedPredictor(withInterest bool) (*predictor.Predictor, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := predictor.DefaultConfig()
-		cfg.UseInterestThreshold = withInterest
-		return predictor.Train(train, cfg)
+		return predictor.Train(train, trainedPredictorConfig(withInterest))
 	})
+}
+
+// trainedPredictorConfig is the config TrainedPredictor trains with.
+func trainedPredictorConfig(withInterest bool) predictor.Config {
+	cfg := predictor.DefaultConfig()
+	cfg.UseInterestThreshold = withInterest
+	return cfg
 }

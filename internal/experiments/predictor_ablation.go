@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 
 	"eabrowse/internal/features"
 	"eabrowse/internal/gbrt"
@@ -34,71 +33,120 @@ type PredictorAblationResult struct {
 	PersonalModels int
 }
 
-// PredictorAblation runs the sweep on the shared default trace.
+// PredictorAblation runs the sweep on the shared default split. Its forests
+// whose key matches a shared TrainedPredictor's (the paper's configuration,
+// with and without the interest threshold) are that predictor's, so Fig. 15,
+// Fig. 16 and the sweep grow each of them once.
 func PredictorAblation() (*PredictorAblationResult, error) {
-	ds, err := DefaultTrace()
+	train, test, err := DefaultSplit()
 	if err != nil {
 		return nil, err
 	}
-	return PredictorAblationFrom(ds)
+	return predictorAblation(train, test, true)
 }
 
-// PredictorAblationFrom runs the sweep on an existing dataset.
+// PredictorAblationFrom runs the sweep on an existing dataset, training
+// every forest itself.
 func PredictorAblationFrom(ds *trace.Dataset) (*PredictorAblationResult, error) {
 	train, test, err := predictor.Split(ds.Visits, 0.3, 7)
 	if err != nil {
 		return nil, err
 	}
+	return predictorAblation(train, test, false)
+}
 
-	// Rows name GBRT variants, and some rows share one: the default model is
-	// also the "M = 400" row and the importance model, and the "J = 8" and
-	// "alpha = 2 s" rows are one 200-tree model. Each distinct (config,
-	// alpha) pair is trained and scored once, and its rows reuse the result.
-	type variant struct {
-		cfg   gbrt.Config
-		alpha float64
+// forestKey identifies one boosted forest of the sweep: its GBRT config with
+// Trees zeroed, since a forest boosted for M trees is the first M trees of
+// any longer one (gbrt.Model.Prefix), and its training filter — α when the
+// interest threshold is on; without it α leaves the training set alone.
+type forestKey struct {
+	gbrt     gbrt.Config
+	interest bool
+	alpha    float64
+}
+
+func forestKeyOf(cfg predictor.Config) forestKey {
+	k := forestKey{gbrt: cfg.GBRT, interest: cfg.UseInterestThreshold}
+	k.gbrt.Trees = 0
+	if k.interest {
+		k.alpha = cfg.Alpha
 	}
-	var variants []variant
-	variantOf := func(cfg gbrt.Config, alpha float64) int {
-		v := variant{cfg, alpha}
-		if i := slices.Index(variants, v); i >= 0 {
-			return i
+	return k
+}
+
+// sharedForest returns the artifact store's TrainedPredictor whose forest is
+// key's and at least trees long, or nil when it has none.
+func sharedForest(key forestKey, trees int) (*predictor.Predictor, error) {
+	for _, withInterest := range []bool{true, false} {
+		cfg := trainedPredictorConfig(withInterest)
+		if forestKeyOf(cfg) == key && cfg.GBRT.Trees >= trees {
+			return TrainedPredictor(withInterest)
 		}
-		variants = append(variants, v)
-		return len(variants) - 1
 	}
-	type namedRow struct {
-		name    string
-		variant int
-	}
+	return nil, nil
+}
+
+// ablationRow is one GBRT row of the sweep: its label and the predictor
+// config a stand-alone run would train it with.
+type ablationRow struct {
+	name string
+	cfg  predictor.Config
+}
+
+// predictorAblation runs the sweep on one split. Rows that share a forest
+// key share one forest, grown once to the largest M any of them asks for;
+// each row is scored on the prefix it asks for. With shared set, the split
+// is DefaultSplit's and forests come from sharedForest where it has them.
+func predictorAblation(train, test []trace.Visit, shared bool) (*PredictorAblationResult, error) {
 	// GBRT vs. the linear baseline Table 4 rules out, and per-user vs.
 	// global models, all trained with the interest threshold (the stronger
 	// setting for each); then forest size M, leaf budget J and threshold α.
-	def := variantOf(gbrt.DefaultConfig(), 2)
-	var trees, leaves, alphas []namedRow
+	var rows []ablationRow
+	add := func(name string, alpha float64, set func(*gbrt.Config)) {
+		cfg := gbrt.DefaultConfig()
+		set(&cfg)
+		rows = append(rows, ablationRow{name, predictor.Config{
+			GBRT: cfg, UseInterestThreshold: alpha > 0, Alpha: alpha,
+		}})
+	}
+	add("GBRT (default: M=400, J=8)", 2, func(*gbrt.Config) {})
+	treesLo := len(rows)
 	for _, m := range []int{25, 100, 400} {
-		cfg := gbrt.DefaultConfig()
-		cfg.Trees = m
-		trees = append(trees, namedRow{fmt.Sprintf("M = %d trees", m), variantOf(cfg, 2)})
+		add(fmt.Sprintf("M = %d trees", m), 2, func(c *gbrt.Config) { c.Trees = m })
 	}
+	leavesLo := len(rows)
 	for _, j := range []int{2, 4, 8, 16} {
-		cfg := gbrt.DefaultConfig()
-		cfg.MaxLeaves = j
-		cfg.Trees = 200
-		leaves = append(leaves, namedRow{fmt.Sprintf("J = %d leaves", j), variantOf(cfg, 2)})
+		add(fmt.Sprintf("J = %d leaves", j), 2, func(c *gbrt.Config) { c.MaxLeaves, c.Trees = j, 200 })
 	}
+	alphaLo := len(rows)
 	for _, alpha := range []float64{0, 1, 2, 3, 5} {
-		cfg := gbrt.DefaultConfig()
-		cfg.Trees = 200
-		alphas = append(alphas, namedRow{fmt.Sprintf("alpha = %.0f s", alpha), variantOf(cfg, alpha)})
+		add(fmt.Sprintf("alpha = %.0f s", alpha), alpha, func(c *gbrt.Config) { c.Trees = 200 })
+	}
+
+	// One forest per key, in first-row order, grown at its rows' largest M.
+	type forest struct {
+		cfg  predictor.Config
+		rows []int
+	}
+	var forests []forest
+	index := map[forestKey]int{}
+	for i, r := range rows {
+		f, ok := index[forestKeyOf(r.cfg)]
+		if !ok {
+			f = len(forests)
+			index[forestKeyOf(r.cfg)] = f
+			forests = append(forests, forest{cfg: r.cfg})
+		}
+		forests[f].cfg.GBRT.Trees = max(forests[f].cfg.GBRT.Trees, r.cfg.GBRT.Trees)
+		forests[f].rows = append(forests[f].rows, i)
 	}
 
 	// Every job trains on the same (read-only) split, so the sweep is one
 	// flat job list on the worker pool: the linear and per-user baselines,
-	// then one job per variant. Results land by job index.
+	// then one job per forest. Results land by job index.
 	type result struct {
-		row        PredictorAblationRow
-		importance []float64 // the default variant's only
+		rows       []PredictorAblationRow // a forest's, in its rows' order
+		importance []float64              // the default row's only
 		personal   int
 	}
 	const baselines = 2
@@ -106,60 +154,81 @@ func PredictorAblationFrom(ds *trace.Dataset) (*PredictorAblationResult, error) 
 		switch i {
 		case 0:
 			row, err := linearAccuracy(train, test, 2)
-			return result{row: row}, err
+			return result{rows: []PredictorAblationRow{row}}, err
 		case 1:
 			row, n, err := perUserAccuracy(train, test, 2)
-			return result{row: row, personal: n}, err
+			return result{rows: []PredictorAblationRow{row}, personal: n}, err
 		}
-		v := variants[i-baselines]
-		row, p, err := gbrtAccuracy(train, test, v.cfg, v.alpha)
-		if err != nil || i-baselines != def {
-			return result{row: row}, err
+		f := forests[i-baselines]
+		var p *predictor.Predictor
+		var err error
+		if shared {
+			p, err = sharedForest(forestKeyOf(f.cfg), f.cfg.GBRT.Trees)
 		}
-		return result{row: row, importance: p.FeatureImportance()}, nil
+		if p == nil && err == nil {
+			p, err = predictor.Train(train, f.cfg)
+		}
+		if err != nil {
+			return result{}, err
+		}
+		var res result
+		for _, ri := range f.rows {
+			r := rows[ri]
+			pm, err := p.Prefix(r.cfg.GBRT.Trees)
+			if err != nil {
+				return result{}, err
+			}
+			row, err := score(r.name, pm, test, r.cfg.UseInterestThreshold)
+			if err != nil {
+				return result{}, err
+			}
+			res.rows = append(res.rows, row)
+			if ri == 0 {
+				res.importance = pm.FeatureImportance()
+			}
+		}
+		return res, nil
 	}
-	results, err := runner.Collect(baselines+len(variants), job)
+	results, err := runner.Collect(baselines+len(forests), job)
 	if err != nil {
 		return nil, err
 	}
-	rowsOf := func(named []namedRow) []PredictorAblationRow {
-		rows := make([]PredictorAblationRow, len(named))
-		for i, nr := range named {
-			rows[i] = results[baselines+nr.variant].row
-			rows[i].Name = nr.name
+	scored := make([]PredictorAblationRow, len(rows))
+	for fi, f := range forests {
+		for j, ri := range f.rows {
+			scored[ri] = results[baselines+fi].rows[j]
 		}
-		return rows
 	}
 	res := &PredictorAblationResult{
-		Baselines: append(rowsOf([]namedRow{{"GBRT (default: M=400, J=8)", def}}),
-			results[0].row, results[1].row),
+		Baselines:      []PredictorAblationRow{scored[0], results[0].rows[0], results[1].rows[0]},
 		PersonalModels: results[1].personal,
-		Trees:          rowsOf(trees),
-		Leaves:         rowsOf(leaves),
-		Alpha:          rowsOf(alphas),
+		Trees:          scored[treesLo:leavesLo],
+		Leaves:         scored[leavesLo:alphaLo],
+		Alpha:          scored[alphaLo:],
 	}
-	copy(res.Importance[:], results[baselines+def].importance)
+	// Row 0, the default, opens the first forest.
+	copy(res.Importance[:], results[baselines].importance)
 	return res, nil
 }
 
-// gbrtAccuracy trains one GBRT predictor and scores it at Tp = 9 s and
-// Td = 20 s; the trained predictor is returned beside its row.
-func gbrtAccuracy(train, test []trace.Visit, cfg gbrt.Config, alpha float64) (PredictorAblationRow, *predictor.Predictor, error) {
-	pcfg := predictor.Config{GBRT: cfg, UseInterestThreshold: alpha > 0, Alpha: alpha}
-	p, err := predictor.Train(train, pcfg)
+// evaluator is a predictor the sweep scores: one global forest or a set of
+// per-user ones.
+type evaluator interface {
+	Evaluate(test []trace.Visit, threshold float64, applyInterest bool) (predictor.Accuracy, error)
+}
+
+// score rates e at Tp = 9 s and Td = 20 s, on the test visits that survive α
+// when applyInterest is set.
+func score(name string, e evaluator, test []trace.Visit, applyInterest bool) (PredictorAblationRow, error) {
+	a9, err := e.Evaluate(test, 9, applyInterest)
 	if err != nil {
-		return PredictorAblationRow{}, nil, err
+		return PredictorAblationRow{}, err
 	}
-	applyInterest := alpha > 0
-	a9, err := p.Evaluate(test, 9, applyInterest)
+	a20, err := e.Evaluate(test, 20, applyInterest)
 	if err != nil {
-		return PredictorAblationRow{}, nil, err
+		return PredictorAblationRow{}, err
 	}
-	a20, err := p.Evaluate(test, 20, applyInterest)
-	if err != nil {
-		return PredictorAblationRow{}, nil, err
-	}
-	return PredictorAblationRow{TpPct: a9.Pct(), TdPct: a20.Pct()}, p, nil
+	return PredictorAblationRow{Name: name, TpPct: a9.Pct(), TdPct: a20.Pct()}, nil
 }
 
 // perUserAccuracy trains one model per user (the paper's deployment) and
@@ -174,17 +243,10 @@ func perUserAccuracy(train, test []trace.Visit, alpha float64) (PredictorAblatio
 	if err != nil {
 		return PredictorAblationRow{}, 0, err
 	}
-	row := PredictorAblationRow{Name: "per-user GBRT models"}
-	a9, err := pu.Evaluate(test, 9, alpha > 0)
+	row, err := score("per-user GBRT models", pu, test, alpha > 0)
 	if err != nil {
 		return PredictorAblationRow{}, 0, err
 	}
-	a20, err := pu.Evaluate(test, 20, alpha > 0)
-	if err != nil {
-		return PredictorAblationRow{}, 0, err
-	}
-	row.TpPct = a9.Pct()
-	row.TdPct = a20.Pct()
 	return row, pu.PersonalModels(), nil
 }
 

@@ -1,6 +1,12 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"eabrowse/internal/gbrt"
+	"eabrowse/internal/predictor"
+	"eabrowse/internal/trace"
+)
 
 // TestPredictorAblationShape asserts the design-choice story:
 //
@@ -80,5 +86,99 @@ func TestPredictorAblationShape(t *testing.T) {
 	last := res.Trees[len(res.Trees)-1]
 	if last.TpPct < best-1 {
 		t.Errorf("largest forest (%.1f%%) more than a point below best (%.1f%%)", last.TpPct, best)
+	}
+}
+
+// gbrtAccuracy is the sweep's row oracle: one stand-alone predictor.Train
+// per row, scored at Tp = 9 s and Td = 20 s.
+func gbrtAccuracy(train, test []trace.Visit, cfg gbrt.Config, alpha float64) (PredictorAblationRow, *predictor.Predictor, error) {
+	pcfg := predictor.Config{GBRT: cfg, UseInterestThreshold: alpha > 0, Alpha: alpha}
+	p, err := predictor.Train(train, pcfg)
+	if err != nil {
+		return PredictorAblationRow{}, nil, err
+	}
+	applyInterest := alpha > 0
+	a9, err := p.Evaluate(test, 9, applyInterest)
+	if err != nil {
+		return PredictorAblationRow{}, nil, err
+	}
+	a20, err := p.Evaluate(test, 20, applyInterest)
+	if err != nil {
+		return PredictorAblationRow{}, nil, err
+	}
+	return PredictorAblationRow{TpPct: a9.Pct(), TdPct: a20.Pct()}, p, nil
+}
+
+// TestPredictorAblationMatchesPerVariantTraining pins the shared forests to
+// training every row on its own: on a small trace each GBRT row's accuracies,
+// and the default row's importance, equal a stand-alone Train's exactly. On
+// the default trace the default row is the deployed predictor's, so it
+// equals Fig. 15's with-threshold accuracies.
+func TestPredictorAblationMatchesPerVariantTraining(t *testing.T) {
+	ds, err := ScenarioTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := PredictorAblationFrom(ds)
+	if err != nil {
+		t.Fatalf("PredictorAblationFrom: %v", err)
+	}
+	train, test, err := predictor.Split(ds.Visits, 0.3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variant := func(trees, leaves int) gbrt.Config {
+		cfg := gbrt.DefaultConfig()
+		cfg.Trees, cfg.MaxLeaves = trees, leaves
+		return cfg
+	}
+	type want struct {
+		row   PredictorAblationRow
+		cfg   gbrt.Config
+		alpha float64
+	}
+	wants := []want{{res.Baselines[0], variant(400, 8), 2}}
+	for i, m := range []int{25, 100, 400} {
+		wants = append(wants, want{res.Trees[i], variant(m, 8), 2})
+	}
+	for i, j := range []int{2, 4, 8, 16} {
+		wants = append(wants, want{res.Leaves[i], variant(200, j), 2})
+	}
+	for i, alpha := range []float64{0, 1, 2, 3, 5} {
+		wants = append(wants, want{res.Alpha[i], variant(200, 8), alpha})
+	}
+	if got := 1 + len(res.Trees) + len(res.Leaves) + len(res.Alpha); got != len(wants) {
+		t.Fatalf("sweep has %d GBRT rows, want %d", got, len(wants))
+	}
+	for i, w := range wants {
+		oracle, p, err := gbrtAccuracy(train, test, w.cfg, w.alpha)
+		if err != nil {
+			t.Fatalf("%s: %v", w.row.Name, err)
+		}
+		if w.row.TpPct != oracle.TpPct || w.row.TdPct != oracle.TdPct {
+			t.Errorf("%s: sweep %v%% / %v%%, stand-alone Train %v%% / %v%%",
+				w.row.Name, w.row.TpPct, w.row.TdPct, oracle.TpPct, oracle.TdPct)
+		}
+		if i != 0 {
+			continue
+		}
+		for f, v := range p.FeatureImportance() {
+			if res.Importance[f] != v {
+				t.Errorf("importance[%d] = %v, stand-alone Train %v", f, res.Importance[f], v)
+			}
+		}
+	}
+
+	def, err := PredictorAblation()
+	if err != nil {
+		t.Fatalf("PredictorAblation: %v", err)
+	}
+	fig15, err := Fig15()
+	if err != nil {
+		t.Fatalf("Fig15: %v", err)
+	}
+	if row := def.Baselines[0]; row.TpPct != fig15.WithTp || row.TdPct != fig15.WithTd {
+		t.Errorf("default row %v%% / %v%%, Fig. 15 with threshold %v%% / %v%%",
+			row.TpPct, row.TdPct, fig15.WithTp, fig15.WithTd)
 	}
 }

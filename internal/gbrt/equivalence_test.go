@@ -206,13 +206,14 @@ func fuzzFeature(b byte) float64 {
 // checkTrainMatchesReference decodes data into a small training set and
 // configuration, trains it with Train and with the reference engine under
 // the canonical (value, sample index) tie rule, and requires the two saved
-// models to be byte-identical.
+// models to be byte-identical. It then requires one prefix of the trained
+// forest (Model.Prefix) to save the bytes of a Train with that many trees.
 //
 // Layout: five header bytes — feature count (1–13, so every remainder of a
 // multi-column group occurs), trees, J (2–16), shrinkage and MinSamplesLeaf
-// (1–5), and a column to hold constant — then one row per 1+F bytes: a
-// target byte whose top bit repeats the previous row's features, and F
-// feature bytes.
+// (1–5), and a column to hold constant (low four bits) beside the prefix
+// length (high four bits) — then one row per 1+F bytes: a target byte whose
+// top bit repeats the previous row's features, and F feature bytes.
 func checkTrainMatchesReference(t *testing.T, data []byte) {
 	t.Helper()
 	const header, maxRows = 5, 96
@@ -257,6 +258,20 @@ func checkTrainMatchesReference(t *testing.T, data []byte) {
 		t.Fatalf("%s: Train: %v", trial, err)
 	}
 	assertSameModel(t, trial, ref, got)
+
+	// One prefix per input: the top of the constant-column byte picks k.
+	k := 1 + int(data[4]/16)%cfg.Trees
+	pcfg := cfg
+	pcfg.Trees = k
+	short, err := Train(xs, ys, pcfg)
+	if err != nil {
+		t.Fatalf("%s: Train(%d trees): %v", trial, k, err)
+	}
+	prefix, err := got.Prefix(k)
+	if err != nil {
+		t.Fatalf("%s: Prefix(%d): %v", trial, k, err)
+	}
+	assertSameModel(t, fmt.Sprintf("%s prefix %d", trial, k), short, prefix)
 }
 
 // FuzzTrainMatchesReference drives checkTrainMatchesReference with

@@ -61,7 +61,7 @@ type Model struct {
 // targets; each iteration fits a J-leaf regression tree to the current
 // residuals and adds it with shrinkage. The feature columns are presorted
 // once; every boosting iteration reuses the sorted orders and the trainer's
-// scratch buffers.
+// work buffers.
 func Train(xs [][]float64, ys []float64, cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -103,6 +103,31 @@ func Train(xs [][]float64, ys []float64, cfg Config) (*Model, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// Prefix returns the model of m's base, shrinkage and first k trees, compiled
+// afresh. Boosting iteration i reads only the trees before it, and Train reads
+// Config.Trees only as its bound, so Train with Trees = k on the same data and
+// config returns this model, tree for tree. When k covers every tree (a
+// forest that converged early has fewer than it was asked for), m itself is
+// returned; models are immutable, so the two share trees.
+func (m *Model) Prefix(k int) (*Model, error) {
+	if k < 1 {
+		return nil, errors.New("gbrt: need at least one tree")
+	}
+	if k >= len(m.trees) {
+		return m, nil
+	}
+	p := &Model{
+		base:        m.base,
+		shrink:      m.shrink,
+		trees:       m.trees[:k:k],
+		numFeatures: m.numFeatures,
+	}
+	if err := p.compile(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // Predict evaluates the model on one feature vector.

@@ -11,10 +11,14 @@
 // Training uses the classic presorted-CART layout: every feature column is
 // sorted once per Train call, ties broken by sample index, and the sorted
 // orders are partitioned down each tree instead of re-sorted inside every
-// split search. The index tie-break makes every downstream floating-point
-// fold a pure function of the data — independent of sort internals, worker
-// count, or iteration order — which is what keeps serialized models and
-// experiment output byte-identical run over run.
+// split search. The presorted master is never written: a split partitions
+// its node's range from the buffer holding it straight into the same range
+// of one of two work halves, the halves alternating down the tree, so no
+// tree copies the master and no partition goes through scratch. The index
+// tie-break makes every downstream floating-point fold a pure function of
+// the data — independent of sort internals, worker count, or iteration
+// order — which is what keeps serialized models and experiment output
+// byte-identical run over run.
 //
 // Each sorted column entry is one rank-packed word: the dense rank of the
 // sample's feature value (±0 share a rank) above its sample index, so the
@@ -23,6 +27,11 @@
 // feature rows. The split search folds several columns in one pass over a
 // leaf's range: each column's prefix sums are the same fold in the same
 // order as a one-column scan, but the independent chains overlap.
+//
+// Boosting iteration m reads only the trees before it, so a model boosted
+// for M trees is the first M trees of any longer run on the same data and
+// config; Model.Prefix cuts a trained or loaded forest down to one, and a
+// sweep over M trains once.
 package gbrt
 
 import (
@@ -93,7 +102,7 @@ func (t *Tree) Depth() int {
 	return walk(0)
 }
 
-// trainer owns the presorted feature orders and every scratch buffer shared
+// trainer owns the presorted feature orders and every work buffer shared
 // by the boosting iterations of one Train call. Constructing it costs one
 // O(F·n log n) presort; afterwards each of the M trees is grown by
 // partitioning the sorted orders down the tree, so the per-split work is the
@@ -107,23 +116,25 @@ type trainer struct {
 	// is detected here at presort time and never sorted, scanned, or
 	// partitioned.
 	feats []int
-	// master holds one n-length column per feats entry: the rank-packed
-	// words (see pack) of every sample, ascending — sorted by (feature value,
-	// sample index).
-	master []uint64
-	// work is the per-tree copy of master; applied splits partition each of
-	// its columns stably in place, which keeps every column sorted by
-	// (value, index) within every node's range all the way down the tree.
-	work []uint64
+	// bufs holds three buffers of one n-length column per feats entry.
+	// bufs[0] is the master: the rank-packed words (see pack) of every
+	// sample, ascending — sorted by (feature value, sample index). It is
+	// never written after the presort. bufs[1] and bufs[2] are the work
+	// halves: an applied split partitions each column of its node's range
+	// stably from the node's buffer into the same range of the other half
+	// (childBuf), which keeps every column sorted by (value, index) within
+	// every node's range all the way down the tree.
+	bufs [3][]uint64
 	// mark is 1 for the left-child samples while one split is being
 	// applied, 0 otherwise.
 	mark []uint8
-	// scratch receives each stable partition before it is copied back.
-	scratch []uint64
 	// leaves records, after each buildTree, the sample range and fitted
 	// value of every terminal node, so Train can update the boosted
 	// predictions in O(n) without walking the tree per sample.
 	leaves []leafRange
+	// ranges is buildTree's sample range of every node of the tree being
+	// grown, indexed like its node slice.
+	ranges []leafRange
 
 	// ys is the residual target vector of the tree currently being grown.
 	ys []float64
@@ -131,7 +142,20 @@ type trainer struct {
 
 type leafRange struct {
 	lo, hi int
+	buf    uint8 // the buffer holding the range's columns
 	value  float64
+}
+
+// childBuf returns the buffer a split node's children hold their columns in:
+// the first half below the master, then the two halves in turn. A node's
+// range of a buffer is written only by its parent's split and read only by
+// the node and its descendants, so the halves never overwrite a range that
+// is still to be read.
+func childBuf(b uint8) uint8 {
+	if b == 1 {
+		return 2
+	}
+	return 1
 }
 
 // pack makes a column word: the dense rank of the sample's value within its
@@ -158,7 +182,6 @@ func newTrainer(xs [][]float64, minLeaf int) (*trainer, error) {
 		n:       n,
 		minLeaf: minLeaf,
 		mark:    make([]uint8, n),
-		scratch: make([]uint64, n),
 	}
 	numFeatures := len(xs[0])
 	for f := 0; f < numFeatures; f++ {
@@ -173,10 +196,11 @@ func newTrainer(xs [][]float64, minLeaf int) (*trainer, error) {
 			tr.feats = append(tr.feats, f)
 		}
 	}
-	tr.master = make([]uint64, len(tr.feats)*n)
-	tr.work = make([]uint64, len(tr.feats)*n)
+	for b := range tr.bufs {
+		tr.bufs[b] = make([]uint64, len(tr.feats)*n)
+	}
 	for k, f := range tr.feats {
-		col := tr.master[k*n : (k+1)*n]
+		col := tr.col(0, k)
 		for i := range col {
 			col[i] = uint64(i)
 		}
@@ -199,9 +223,9 @@ func newTrainer(xs [][]float64, minLeaf int) (*trainer, error) {
 	return tr, nil
 }
 
-// col returns working column k (the sorted sample order of feats[k]).
-func (tr *trainer) col(k int) []uint64 {
-	return tr.work[k*tr.n : (k+1)*tr.n]
+// col returns column k (the sorted sample order of feats[k]) of buffer b.
+func (tr *trainer) col(b uint8, k int) []uint64 {
+	return tr.bufs[b][k*tr.n : (k+1)*tr.n]
 }
 
 // splitCandidate is one open leaf's best split. It is computed exactly once,
@@ -209,9 +233,10 @@ func (tr *trainer) col(k int) []uint64 {
 // split or the terminal-node budget runs out — the pre-refactor builder
 // re-scanned every open leaf on every iteration instead.
 type splitCandidate struct {
-	node   int // index into the tree's node slice
-	seq    int // leaf-opening order; breaks gain ties deterministically
-	lo, hi int // the leaf's sample range in every work column
+	node   int   // index into the tree's node slice
+	seq    int   // leaf-opening order; breaks gain ties deterministically
+	lo, hi int   // the leaf's sample range in every column
+	buf    uint8 // the buffer holding the leaf's columns
 	// sum and sq fold the leaf's ys (and ys²) in the order the leaf's
 	// samples appear in its parent's split column (sample-index order at the
 	// root) — the same fold the recursive reference performs.
@@ -267,7 +292,6 @@ func (h *candidateHeap) Pop() any {
 func (tr *trainer) buildTree(ys []float64, maxLeaves int) *Tree {
 	tr.ys = ys
 	tr.leaves = tr.leaves[:0]
-	copy(tr.work, tr.master)
 	n := tr.n
 
 	// Root stats fold ys in sample-index order.
@@ -279,8 +303,7 @@ func (tr *trainer) buildTree(ys []float64, maxLeaves int) *Tree {
 	}
 	nodes := make([]treeNode, 1, 2*maxLeaves-1)
 	nodes[0] = treeNode{leaf: true, value: sum / float64(n)}
-	ranges := make([]leafRange, 1, 2*maxLeaves-1)
-	ranges[0] = leafRange{lo: 0, hi: n}
+	ranges := append(tr.ranges[:0], leafRange{lo: 0, hi: n})
 
 	var open candidateHeap
 	root := &splitCandidate{node: 0, lo: 0, hi: n, sum: sum, sq: sq}
@@ -296,7 +319,7 @@ func (tr *trainer) buildTree(ys []float64, maxLeaves int) *Tree {
 		}
 		nl := c.splitPos
 		mid := c.lo + nl
-		ccol := tr.col(c.slot)[c.lo:c.hi]
+		ccol := tr.col(c.buf, c.slot)[c.lo:c.hi]
 
 		// The right child's stats fold in the split column's sorted order —
 		// the order its samples will keep in every descendant scan.
@@ -315,14 +338,15 @@ func (tr *trainer) buildTree(ys []float64, maxLeaves int) *Tree {
 		if final {
 			cols = 1
 		}
-		tr.partition(c, cols)
+		child := childBuf(c.buf)
+		tr.partition(c, child, cols)
 
 		li := len(nodes)
 		nodes = append(nodes, treeNode{leaf: true, value: c.leftSum / float64(nl)})
-		ranges = append(ranges, leafRange{lo: c.lo, hi: mid})
+		ranges = append(ranges, leafRange{lo: c.lo, hi: mid, buf: child})
 		ri := len(nodes)
 		nodes = append(nodes, treeNode{leaf: true, value: rightSum / float64(c.hi-mid)})
-		ranges = append(ranges, leafRange{lo: mid, hi: c.hi})
+		ranges = append(ranges, leafRange{lo: mid, hi: c.hi, buf: child})
 		nd := &nodes[c.node]
 		nd.leaf = false
 		nd.feature = int32(c.feature)
@@ -331,9 +355,9 @@ func (tr *trainer) buildTree(ys []float64, maxLeaves int) *Tree {
 		nd.right = int32(ri)
 		nd.gain = c.gain
 
-		left := &splitCandidate{node: li, seq: seq + 1, lo: c.lo, hi: mid,
+		left := &splitCandidate{node: li, seq: seq + 1, lo: c.lo, hi: mid, buf: child,
 			sum: c.leftSum, sq: c.leftSq}
-		right := &splitCandidate{node: ri, seq: seq + 2, lo: mid, hi: c.hi,
+		right := &splitCandidate{node: ri, seq: seq + 2, lo: mid, hi: c.hi, buf: child,
 			sum: rightSum, sq: rightSq}
 		seq += 2
 		leaves++
@@ -350,28 +374,28 @@ func (tr *trainer) buildTree(ys []float64, maxLeaves int) *Tree {
 
 	for i := range nodes {
 		if nodes[i].leaf {
-			tr.leaves = append(tr.leaves, leafRange{
-				lo: ranges[i].lo, hi: ranges[i].hi, value: nodes[i].value,
-			})
+			lr := ranges[i]
+			lr.value = nodes[i].value
+			tr.leaves = append(tr.leaves, lr)
 		}
 	}
+	tr.ranges = ranges
 	return &Tree{nodes: nodes}
 }
 
 // addTo adds shrinkage-scaled predictions of the just-built tree to current,
 // using the recorded leaf ranges: every sample already sits in exactly one
 // terminal range, so no per-sample tree traversal is needed. Must be called
-// before the next buildTree reuses the work columns.
+// before the next buildTree reuses the work halves.
 func (tr *trainer) addTo(current []float64, shrink float64) {
 	if len(tr.feats) == 0 {
 		// No splittable feature: the tree is root-only and Train stops
 		// before applying it.
 		return
 	}
-	base := tr.col(0)
 	for _, lr := range tr.leaves {
 		d := shrink * lr.value
-		for _, w := range base[lr.lo:lr.hi] {
+		for _, w := range tr.col(lr.buf, 0)[lr.lo:lr.hi] {
 			current[sampleOf(w)] += d
 		}
 	}
@@ -405,24 +429,24 @@ func (tr *trainer) findBest(c *splitCandidate) bool {
 			best, bestSlot = b, k
 		}
 	}
+	col := func(k int) []uint64 { return tr.col(c.buf, k)[c.lo:c.hi] }
 	k := 0
 	for ; k+4 <= len(tr.feats); k += 4 {
-		b0, b1, b2, b3 := p.scan4(tr.col(k)[c.lo:c.hi], tr.col(k + 1)[c.lo:c.hi],
-			tr.col(k + 2)[c.lo:c.hi], tr.col(k + 3)[c.lo:c.hi])
+		b0, b1, b2, b3 := p.scan4(col(k), col(k+1), col(k+2), col(k+3))
 		take(k, b0)
 		take(k+1, b1)
 		take(k+2, b2)
 		take(k+3, b3)
 	}
 	for ; k < len(tr.feats); k++ {
-		take(k, p.scan1(tr.col(k)[c.lo:c.hi]))
+		take(k, p.scan1(col(k)))
 	}
 	if bestSlot < 0 {
 		return false
 	}
 	f := tr.feats[bestSlot]
-	col := tr.col(bestSlot)[c.lo:c.hi]
-	lo, hi := tr.xs[sampleOf(col[best.pos])][f], tr.xs[sampleOf(col[best.pos+1])][f]
+	split := col(bestSlot)
+	lo, hi := tr.xs[sampleOf(split[best.pos])][f], tr.xs[sampleOf(split[best.pos+1])][f]
 	c.threshold = (lo + hi) / 2
 	if math.IsInf(c.threshold, 0) {
 		// lo+hi overflowed; halving first keeps the midpoint finite without
@@ -532,17 +556,21 @@ func (p *scanParent) scan4(c0, c1, c2, c3 []uint64) (b0, b1, b2, b3 colBest) {
 	return b0, b1, b2, b3
 }
 
-// partition applies c's split to work columns 0..cols-1: each is stably
-// partitioned around it over c's range. The split column is already
-// partitioned by construction.
-func (tr *trainer) partition(c *splitCandidate, cols int) {
-	left := tr.col(c.slot)[c.lo : c.lo+c.splitPos]
+// partition applies c's split to columns 0..cols-1: each column of c's range
+// is written stably partitioned around the split into the same range of
+// buffer dst. The split column is already partitioned by construction and is
+// copied.
+func (tr *trainer) partition(c *splitCandidate, dst uint8, cols int) {
+	left := tr.col(c.buf, c.slot)[c.lo : c.lo+c.splitPos]
 	for _, w := range left {
 		tr.mark[sampleOf(w)] = 1
 	}
 	for k := 0; k < cols; k++ {
-		if k != c.slot {
-			stablePartition(tr.col(k)[c.lo:c.hi], c.splitPos, tr.mark, tr.scratch)
+		src, out := tr.col(c.buf, k)[c.lo:c.hi], tr.col(dst, k)[c.lo:c.hi]
+		if k == c.slot {
+			copy(out, src)
+		} else {
+			stablePartition(out, src, c.splitPos, tr.mark)
 		}
 	}
 	for _, w := range left {
@@ -550,25 +578,24 @@ func (tr *trainer) partition(c *splitCandidate, cols int) {
 	}
 }
 
-// stablePartition reorders col so its nl marked (left-child) samples come
-// first, preserving relative order on both sides — the invariant that keeps
-// every column sorted by (feature value, sample index) down the tree. Each
-// word is stored once, at its final place in scratch, chosen by its mark
-// without a branch; the range is then copied back.
-func stablePartition(col []uint64, nl int, mark []uint8, scratch []uint64) {
-	scratch = scratch[:len(col)]
+// stablePartition writes src into dst (the same length) with its nl marked
+// (left-child) samples first, preserving relative order on both sides — the
+// invariant that keeps every column sorted by (feature value, sample index)
+// down the tree. Each word is stored once, at its final place, chosen by its
+// mark without a branch.
+func stablePartition(dst, src []uint64, nl int, mark []uint8) {
+	dst = dst[:len(src)]
 	l, r := 0, nl
-	for _, x := range col {
+	for _, x := range src {
 		m := int(mark[sampleOf(x)])
 		d := r
 		if m != 0 {
 			d = l
 		}
-		scratch[d] = x
+		dst[d] = x
 		l += m
 		r += 1 - m
 	}
-	copy(col, scratch)
 }
 
 // buildTree grows a single tree on a fresh trainer — the one-shot entry

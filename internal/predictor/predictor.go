@@ -162,6 +162,19 @@ func (p *Predictor) PredictBatchVecSeconds(vs []features.Vector, out []float64, 
 	return scratch, p.model.PredictBatch(scratch, out)
 }
 
+// Prefix returns the predictor whose forest is the first k trees of p's
+// (gbrt.Model.Prefix): the predictor Train would return with GBRT.Trees = k
+// on the same visits and config. Everything else it carries is p's.
+func (p *Predictor) Prefix(k int) (*Predictor, error) {
+	m, err := p.model.Prefix(k)
+	if err != nil {
+		return nil, err
+	}
+	q := *p
+	q.model = m
+	return &q, nil
+}
+
 // NumTrees exposes the fitted forest size (Table 7 cost accounting).
 func (p *Predictor) NumTrees() int {
 	return p.model.NumTrees()
