@@ -138,11 +138,11 @@ func trainDemoModel(path string) error {
 	if err != nil {
 		return err
 	}
-	acc, err := p.Evaluate(test, 0.5, true)
+	accs, err := p.Evaluate(test, true, 0.5)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("easerd: trained %d-tree predictor on %d visits (holdout accuracy %.1f%%), saved to %s\n",
-		p.NumTrees(), len(train), acc.Pct(), path)
+		p.NumTrees(), len(train), accs[0].Pct(), path)
 	return nil
 }

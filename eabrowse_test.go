@@ -177,12 +177,12 @@ func TestTraceAndPredictorAPI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TrainPredictor: %v", err)
 	}
-	acc, err := pred.Evaluate(test, 9, true)
+	accs, err := pred.Evaluate(test, true, 9)
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
-	if acc.Pct() < 50 {
-		t.Fatalf("accuracy %.1f%% below coin flip", acc.Pct())
+	if accs[0].Pct() < 50 {
+		t.Fatalf("accuracy %.1f%% below coin flip", accs[0].Pct())
 	}
 }
 

@@ -38,16 +38,12 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		a9, err := pred.Evaluate(test, 9, interest)
-		if err != nil {
-			return err
-		}
-		a20, err := pred.Evaluate(test, 20, interest)
+		accs, err := pred.Evaluate(test, interest, 9, 20)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("interest threshold %-5v  %d trees  Tp=9s: %5.1f%%  Td=20s: %5.1f%%\n",
-			interest, pred.NumTrees(), a9.Pct(), a20.Pct())
+			interest, pred.NumTrees(), accs[0].Pct(), accs[1].Pct())
 	}
 
 	// Drive Algorithm 2 with one prediction.

@@ -207,24 +207,6 @@ func TestWithoutAutoDormancyKeepsRadioUp(t *testing.T) {
 	}
 }
 
-func TestTransmissionDoneHook(t *testing.T) {
-	page := testPage(t)
-	called := false
-	var r *rig
-	r = newRig(t, ModeEnergyAware, WithTransmissionDoneHook(func() {
-		called = true
-	}))
-	r.load(t, page)
-	if !called {
-		t.Fatal("transmission-done hook never invoked")
-	}
-	r.clock.RunFor(10 * time.Second)
-	// The hook replaced auto-dormancy, and it did not force idle.
-	if got := r.radio.State(); got == rrc.StateReleasing {
-		t.Fatalf("radio = %v, hook should own dormancy", got)
-	}
-}
-
 func TestDormancyGuardHonored(t *testing.T) {
 	page := testPage(t)
 	r := newRig(t, ModeEnergyAware, WithDormancyGuard(6*time.Second))

@@ -165,17 +165,16 @@ func (e *Engine) eaTransmissionDone() {
 	e.logEvent(EventTransmissionDone, "")
 	e.markPhase("layout")
 
-	if e.onTransmissionDone != nil {
-		e.onTransmissionDone()
-	} else if e.autoDormancy {
+	if e.autoDormancy {
 		e.clock.Defer(e.dormancyGuard, e.forceDormantFn)
 	}
 
 	e.eaLayoutPhase()
 }
 
-// ForceDormantNow releases the radio immediately (used by policies driving
-// the engine through WithTransmissionDoneHook).
+// ForceDormantNow releases the radio immediately. The traced fleet engine
+// (internal/experiments) calls it on phones built WithoutAutoDormancy when
+// Algorithm 2, after the α wait, decides to switch the radio to IDLE.
 func (e *Engine) ForceDormantNow() error {
 	return e.forceDormant()
 }

@@ -50,12 +50,11 @@ type Engine struct {
 	mode  Mode
 	cpu   *cpu
 
-	dormancyGuard      time.Duration
-	onTransmissionDone func()
-	autoDormancy       bool
-	radioIface         *ril.Interface
-	logEvents          bool
-	observer           *obs.Recorder
+	dormancyGuard time.Duration
+	autoDormancy  bool
+	radioIface    *ril.Interface
+	logEvents     bool
+	observer      *obs.Recorder
 
 	fetchAttempts   int
 	fetchBackoff    time.Duration
@@ -207,16 +206,6 @@ func (f optionFunc) apply(e *Engine) { f(e) }
 // and the forced radio release (energy-aware pipeline).
 func WithDormancyGuard(d time.Duration) Option {
 	return optionFunc(func(e *Engine) { e.dormancyGuard = d })
-}
-
-// WithTransmissionDoneHook replaces the engine's default dormancy behaviour:
-// fn is invoked when the data-transmission phase completes and the caller
-// (e.g. the Algorithm 2 policy) decides if and when to force dormancy.
-func WithTransmissionDoneHook(fn func()) Option {
-	return optionFunc(func(e *Engine) {
-		e.onTransmissionDone = fn
-		e.autoDormancy = false
-	})
 }
 
 // WithoutAutoDormancy keeps the energy-aware computation reordering but

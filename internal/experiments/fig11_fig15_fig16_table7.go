@@ -191,15 +191,11 @@ func Fig15() (*Fig15Result, error) {
 		if err != nil {
 			return accPair{}, err
 		}
-		a9, err := p.Evaluate(test, 9, withInterest)
+		accs, err := p.Evaluate(test, withInterest, 9, 20)
 		if err != nil {
 			return accPair{}, err
 		}
-		a20, err := p.Evaluate(test, 20, withInterest)
-		if err != nil {
-			return accPair{}, err
-		}
-		return accPair{a9: a9.Pct(), a20: a20.Pct()}, nil
+		return accPair{a9: accs[0].Pct(), a20: accs[1].Pct()}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -45,16 +45,6 @@ func PredictorAblation() (*PredictorAblationResult, error) {
 	return predictorAblation(train, test, true)
 }
 
-// PredictorAblationFrom runs the sweep on an existing dataset, training
-// every forest itself.
-func PredictorAblationFrom(ds *trace.Dataset) (*PredictorAblationResult, error) {
-	train, test, err := predictor.Split(ds.Visits, 0.3, 7)
-	if err != nil {
-		return nil, err
-	}
-	return predictorAblation(train, test, false)
-}
-
 // forestKey identifies one boosted forest of the sweep: its GBRT config with
 // Trees zeroed, since a forest boosted for M trees is the first M trees of
 // any longer one (gbrt.Model.Prefix), and its training filter — α when the
@@ -214,21 +204,17 @@ func predictorAblation(train, test []trace.Visit, shared bool) (*PredictorAblati
 // evaluator is a predictor the sweep scores: one global forest or a set of
 // per-user ones.
 type evaluator interface {
-	Evaluate(test []trace.Visit, threshold float64, applyInterest bool) (predictor.Accuracy, error)
+	Evaluate(test []trace.Visit, applyInterest bool, thresholds ...float64) ([]predictor.Accuracy, error)
 }
 
 // score rates e at Tp = 9 s and Td = 20 s, on the test visits that survive α
 // when applyInterest is set.
 func score(name string, e evaluator, test []trace.Visit, applyInterest bool) (PredictorAblationRow, error) {
-	a9, err := e.Evaluate(test, 9, applyInterest)
+	accs, err := e.Evaluate(test, applyInterest, 9, 20)
 	if err != nil {
 		return PredictorAblationRow{}, err
 	}
-	a20, err := e.Evaluate(test, 20, applyInterest)
-	if err != nil {
-		return PredictorAblationRow{}, err
-	}
-	return PredictorAblationRow{Name: name, TpPct: a9.Pct(), TdPct: a20.Pct()}, nil
+	return PredictorAblationRow{Name: name, TpPct: accs[0].Pct(), TdPct: accs[1].Pct()}, nil
 }
 
 // perUserAccuracy trains one model per user (the paper's deployment) and
@@ -266,28 +252,19 @@ func linearAccuracy(train, test []trace.Visit, alpha float64) (PredictorAblation
 	if err != nil {
 		return PredictorAblationRow{}, err
 	}
-	row := PredictorAblationRow{Name: "linear regression baseline"}
-	for _, threshold := range []float64{9, 20} {
-		correct, total := 0, 0
-		for _, v := range test {
-			if v.ReadingSeconds < alpha {
-				continue
-			}
-			pred, err := m.Predict(v.Features.Slice())
-			if err != nil {
-				return PredictorAblationRow{}, err
-			}
-			if (pred > threshold) == (v.ReadingSeconds > threshold) {
-				correct++
-			}
-			total++
+	var scored []trace.Visit
+	var preds []float64
+	for _, v := range test {
+		if v.ReadingSeconds < alpha {
+			continue
 		}
-		pct := float64(correct) / float64(total) * 100
-		if threshold == 9 {
-			row.TpPct = pct
-		} else {
-			row.TdPct = pct
+		pred, err := m.Predict(v.Features.Slice())
+		if err != nil {
+			return PredictorAblationRow{}, err
 		}
+		scored = append(scored, v)
+		preds = append(preds, pred)
 	}
-	return row, nil
+	accs := predictor.Score(scored, preds, 9, 20)
+	return PredictorAblationRow{Name: "linear regression baseline", TpPct: accs[0].Pct(), TdPct: accs[1].Pct()}, nil
 }

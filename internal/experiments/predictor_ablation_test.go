@@ -97,16 +97,11 @@ func gbrtAccuracy(train, test []trace.Visit, cfg gbrt.Config, alpha float64) (Pr
 	if err != nil {
 		return PredictorAblationRow{}, nil, err
 	}
-	applyInterest := alpha > 0
-	a9, err := p.Evaluate(test, 9, applyInterest)
+	accs, err := p.Evaluate(test, alpha > 0, 9, 20)
 	if err != nil {
 		return PredictorAblationRow{}, nil, err
 	}
-	a20, err := p.Evaluate(test, 20, applyInterest)
-	if err != nil {
-		return PredictorAblationRow{}, nil, err
-	}
-	return PredictorAblationRow{TpPct: a9.Pct(), TdPct: a20.Pct()}, p, nil
+	return PredictorAblationRow{TpPct: accs[0].Pct(), TdPct: accs[1].Pct()}, p, nil
 }
 
 // TestPredictorAblationMatchesPerVariantTraining pins the shared forests to
@@ -119,13 +114,13 @@ func TestPredictorAblationMatchesPerVariantTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := PredictorAblationFrom(ds)
-	if err != nil {
-		t.Fatalf("PredictorAblationFrom: %v", err)
-	}
 	train, test, err := predictor.Split(ds.Visits, 0.3, 7)
 	if err != nil {
 		t.Fatal(err)
+	}
+	res, err := predictorAblation(train, test, false)
+	if err != nil {
+		t.Fatalf("predictorAblation: %v", err)
 	}
 	variant := func(trees, leaves int) gbrt.Config {
 		cfg := gbrt.DefaultConfig()

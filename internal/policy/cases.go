@@ -303,7 +303,7 @@ func (ev *Evaluator) Evaluate(c Case) (CaseResult, error) {
 			}
 		}
 		preds = make([]float64, len(vecs))
-		if err := ev.pred.PredictBatchSeconds(vecs, preds); err != nil {
+		if _, err := ev.pred.PredictBatchVecSeconds(vecs, preds, nil); err != nil {
 			return CaseResult{}, err
 		}
 	}

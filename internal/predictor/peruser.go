@@ -83,48 +83,39 @@ func (p *PerUser) PersonalModels() int {
 // PredictSeconds predicts with the user's model, falling back to the global
 // one for unknown or under-trained users.
 func (p *PerUser) PredictSeconds(user int, v features.Vector) (float64, error) {
+	return p.model(user).PredictSeconds(v)
+}
+
+// model is the predictor that serves user.
+func (p *PerUser) model(user int) *Predictor {
 	if m, ok := p.models[user]; ok {
-		return m.PredictSeconds(v)
+		return m
 	}
-	return p.global.PredictSeconds(v)
+	return p.global
 }
 
 // Evaluate scores threshold classification like Predictor.Evaluate, routing
 // each visit to its user's model. Visits are grouped by the model that
-// serves them and predicted in one batch per model, so every forest is
-// walked cache-friendly; the counts are identical to per-visit routing.
-func (p *PerUser) Evaluate(test []trace.Visit, threshold float64, applyInterest bool) (Accuracy, error) {
-	alpha := p.global.alpha
+// serves them and predicted in one batch per model; the counts are identical
+// to per-visit routing.
+func (p *PerUser) Evaluate(test []trace.Visit, applyInterest bool, thresholds ...float64) ([]Accuracy, error) {
+	scored, err := survivors(test, p.global.alpha, applyInterest)
+	if err != nil {
+		return nil, err
+	}
 	groups := make(map[*Predictor][]trace.Visit)
-	for _, v := range test {
-		if applyInterest && v.ReadingSeconds < alpha {
-			continue
-		}
-		m, ok := p.models[v.User]
-		if !ok {
-			m = p.global
-		}
+	for _, v := range scored {
+		m := p.model(v.User)
 		groups[m] = append(groups[m], v)
 	}
-	acc := Accuracy{Threshold: threshold}
-	for m, visits := range groups {
-		vs := make([]features.Vector, len(visits))
-		for i, v := range visits {
-			vs[i] = v.Features
-		}
-		preds := make([]float64, len(vs))
-		if err := m.PredictBatchSeconds(vs, preds); err != nil {
-			return Accuracy{}, err
-		}
-		for i, v := range visits {
-			if (preds[i] > threshold) == (v.ReadingSeconds > threshold) {
-				acc.Correct++
-			}
-			acc.Total++
+	visits := make([]trace.Visit, 0, len(scored))
+	preds := make([]float64, len(scored))
+	for m, group := range groups {
+		lo := len(visits)
+		visits = append(visits, group...)
+		if err := m.predictVisits(group, preds[lo:len(visits)]); err != nil {
+			return nil, err
 		}
 	}
-	if acc.Total == 0 {
-		return Accuracy{}, errors.New("predictor: no test visits survive the interest threshold")
-	}
-	return acc, nil
+	return Score(visits, preds, thresholds...), nil
 }

@@ -21,12 +21,12 @@ func TestTrainPerUser(t *testing.T) {
 	if pu.PersonalModels() == 0 {
 		t.Fatal("no personal models fitted for 40 users with 2h each")
 	}
-	acc, err := pu.Evaluate(test, 9, true)
+	accs, err := pu.Evaluate(test, true, 9)
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
-	if acc.Pct() < 70 {
-		t.Fatalf("per-user accuracy %.1f%%, want at least the global ballpark", acc.Pct())
+	if accs[0].Pct() < 70 {
+		t.Fatalf("per-user accuracy %.1f%%, want at least the global ballpark", accs[0].Pct())
 	}
 }
 
@@ -70,14 +70,15 @@ func TestPerUserVsGlobalAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TrainPerUser: %v", err)
 	}
-	gAcc, err := global.Evaluate(test, 9, true)
+	gAccs, err := global.Evaluate(test, true, 9)
 	if err != nil {
 		t.Fatalf("global Evaluate: %v", err)
 	}
-	pAcc, err := pu.Evaluate(test, 9, true)
+	pAccs, err := pu.Evaluate(test, true, 9)
 	if err != nil {
 		t.Fatalf("per-user Evaluate: %v", err)
 	}
+	gAcc, pAcc := gAccs[0], pAccs[0]
 	// Per-user models see far less data each; they must stay within a
 	// reasonable band of the global model (they may win or lose slightly).
 	if pAcc.Pct() < gAcc.Pct()-10 {

@@ -19,7 +19,6 @@ import (
 
 	"eabrowse/internal/features"
 	"eabrowse/internal/gbrt"
-	"eabrowse/internal/stats"
 	"eabrowse/internal/trace"
 )
 
@@ -135,25 +134,14 @@ func (p *Predictor) PredictVecSeconds(v *features.Vector) (float64, error) {
 	return p.model.Predict(v[:])
 }
 
-// PredictBatchSeconds predicts reading times for many feature vectors at
-// once, writing into out (same length as vs). Each vector is one compiled
-// forest evaluation (gbrt.Model.PredictBatch), so per-vector results are
-// bit-identical to PredictSeconds; a batch saves the per-call checks and
+// PredictBatchVecSeconds predicts reading times for many feature vectors at
+// once, writing into out (same length as vs). Rows are read in place from vs
+// and the row-pointer table is built in scratch, which the caller reuses
+// across calls (grow it once, then every batch is allocation-free; nil
+// allocates one). It returns the possibly regrown scratch. Each row is one
+// compiled forest evaluation (gbrt.Model.PredictBatch), so per-vector results
+// are bit-identical to PredictSeconds; a batch saves the per-call checks and
 // call overhead, not forest work.
-func (p *Predictor) PredictBatchSeconds(vs []features.Vector, out []float64) error {
-	xs := make([][]float64, len(vs))
-	for i := range vs {
-		xs[i] = vs[i].Slice()
-	}
-	return p.model.PredictBatch(xs, out)
-}
-
-// PredictBatchVecSeconds is PredictBatchSeconds without the per-call row
-// allocation: rows are read in place from vs and the row-pointer table is
-// built in scratch, which the caller reuses across calls (grow it once,
-// then every batch is allocation-free). It returns the possibly regrown
-// scratch; per-vector results are bit-identical to PredictSeconds, as the
-// batch evaluates each row with the same compiled forest.
 func (p *Predictor) PredictBatchVecSeconds(vs []features.Vector, out []float64, scratch [][]float64) ([][]float64, error) {
 	scratch = scratch[:0]
 	for i := range vs {
@@ -215,45 +203,67 @@ func (a Accuracy) Pct() float64 {
 	return float64(a.Correct) / float64(a.Total) * 100
 }
 
-// Evaluate measures classification accuracy at threshold (seconds) on test
-// visits. When applyInterest is true only visits the user kept open for at
-// least α seconds are scored — the deployment behaviour: the phone waits α
-// before predicting, so sub-α visits never reach the predictor.
-func (p *Predictor) Evaluate(test []trace.Visit, threshold float64, applyInterest bool) (Accuracy, error) {
-	scored, preds, err := p.batchPredict(test, applyInterest)
-	if err != nil {
-		return Accuracy{}, err
-	}
-	acc := Accuracy{Threshold: threshold}
-	for i, v := range scored {
-		if (preds[i] > threshold) == (v.ReadingSeconds > threshold) {
-			acc.Correct++
+// Score tallies the Fig. 15 metric at each threshold: a prediction is
+// correct when it and its visit's real reading time fall on the same side of
+// the threshold. preds[i] is the prediction for visits[i].
+func Score(visits []trace.Visit, preds []float64, thresholds ...float64) []Accuracy {
+	accs := make([]Accuracy, len(thresholds))
+	for j, threshold := range thresholds {
+		accs[j] = Accuracy{Threshold: threshold, Total: len(visits)}
+		for i, v := range visits {
+			if (preds[i] > threshold) == (v.ReadingSeconds > threshold) {
+				accs[j].Correct++
+			}
 		}
-		acc.Total++
 	}
-	return acc, nil
+	return accs
 }
 
-// batchPredict filters test down to the visits that get scored (all of them,
-// or only those surviving the α wait) and predicts them in one batch.
-func (p *Predictor) batchPredict(test []trace.Visit, applyInterest bool) ([]trace.Visit, []float64, error) {
-	scored := make([]trace.Visit, 0, len(test))
-	vs := make([]features.Vector, 0, len(test))
-	for _, v := range test {
-		if applyInterest && v.ReadingSeconds < p.alpha {
-			continue
+// Evaluate measures classification accuracy on test visits at each threshold
+// (seconds), from one prediction of the test set. When applyInterest is true
+// only visits the user kept open for at least α seconds are scored — the
+// deployment behaviour: the phone waits α before predicting, so sub-α visits
+// never reach the predictor.
+func (p *Predictor) Evaluate(test []trace.Visit, applyInterest bool, thresholds ...float64) ([]Accuracy, error) {
+	scored, err := survivors(test, p.alpha, applyInterest)
+	if err != nil {
+		return nil, err
+	}
+	preds := make([]float64, len(scored))
+	if err := p.predictVisits(scored, preds); err != nil {
+		return nil, err
+	}
+	return Score(scored, preds, thresholds...), nil
+}
+
+// survivors filters test down to the visits that get scored: all of them, or
+// only those kept open for at least alpha seconds.
+func survivors(test []trace.Visit, alpha float64, applyInterest bool) ([]trace.Visit, error) {
+	scored := test
+	if applyInterest {
+		scored = make([]trace.Visit, 0, len(test))
+		for _, v := range test {
+			if v.ReadingSeconds < alpha {
+				continue
+			}
+			scored = append(scored, v)
 		}
-		scored = append(scored, v)
-		vs = append(vs, v.Features)
 	}
 	if len(scored) == 0 {
-		return nil, nil, errors.New("predictor: no test visits survive the interest threshold")
+		return nil, errors.New("predictor: no test visits survive the interest threshold")
 	}
-	preds := make([]float64, len(vs))
-	if err := p.PredictBatchSeconds(vs, preds); err != nil {
-		return nil, nil, err
+	return scored, nil
+}
+
+// predictVisits predicts the visits' reading times into out (same length) in
+// one batch.
+func (p *Predictor) predictVisits(visits []trace.Visit, out []float64) error {
+	vs := make([]features.Vector, len(visits))
+	for i := range visits {
+		vs[i] = visits[i].Features
 	}
-	return scored, preds, nil
+	_, err := p.PredictBatchVecSeconds(vs, out, nil)
+	return err
 }
 
 // Split partitions visits into train/test deterministically. testFrac is the
@@ -281,51 +291,6 @@ func Split(visits []trace.Visit, testFrac float64, seed int64) (train, test []tr
 		}
 	}
 	return train, test, nil
-}
-
-// Metrics are regression-quality measures of the reading-time predictions,
-// complementing the paper's threshold-classification accuracy.
-type Metrics struct {
-	// MAE is the mean absolute error, seconds.
-	MAE float64
-	// RMSE is the root-mean-square error, seconds.
-	RMSE float64
-	// MedianAE is the median absolute error, seconds.
-	MedianAE float64
-	// N is the number of scored visits.
-	N int
-}
-
-// RegressionMetrics scores raw reading-time predictions on test visits.
-// When applyInterest is true, only visits surviving the α wait are scored.
-func (p *Predictor) RegressionMetrics(test []trace.Visit, applyInterest bool) (Metrics, error) {
-	scored, preds, err := p.batchPredict(test, applyInterest)
-	if err != nil {
-		return Metrics{}, err
-	}
-	absErrs := make([]float64, 0, len(scored))
-	var sumSq float64
-	for i, v := range scored {
-		d := preds[i] - v.ReadingSeconds
-		if d < 0 {
-			d = -d
-		}
-		absErrs = append(absErrs, d)
-		sumSq += d * d
-	}
-	m := Metrics{N: len(absErrs)}
-	sum := 0.0
-	for _, e := range absErrs {
-		sum += e
-	}
-	m.MAE = sum / float64(len(absErrs))
-	m.RMSE = math.Sqrt(sumSq / float64(len(absErrs)))
-	med, err := stats.Median(absErrs)
-	if err != nil {
-		return Metrics{}, err
-	}
-	m.MedianAE = med
-	return m, nil
 }
 
 // fileVersion guards the predictor envelope's wire format. Version 2 added

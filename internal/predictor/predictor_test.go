@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -106,8 +107,84 @@ func TestEvaluateNeedsSurvivors(t *testing.T) {
 		t.Fatalf("Train: %v", err)
 	}
 	shortOnly := []trace.Visit{{ReadingSeconds: 0.5, Features: train[0].Features}}
-	if _, err := p.Evaluate(shortOnly, 9, true); err == nil {
+	if _, err := p.Evaluate(shortOnly, true, 9); err == nil {
 		t.Fatal("evaluation with no surviving visits succeeded")
+	}
+}
+
+// TestEvaluateMatchesPerVisitTally holds both Evaluates to the Fig. 15
+// metric counted the plain way: one PredictSeconds per scored visit and one
+// comparison per threshold, a repeated threshold counted twice. With no
+// visit surviving α, both report an error.
+func TestEvaluateMatchesPerVisitTally(t *testing.T) {
+	ds := dataset(t)
+	train, test, err := Split(ds.Visits, 0.3, 7)
+	if err != nil {
+		t.Fatalf("Split: %v", err)
+	}
+	cfg := Config{GBRT: gbrt.Config{Trees: 40, MaxLeaves: 8, Shrinkage: 0.1, MinSamplesLeaf: 5},
+		UseInterestThreshold: true, Alpha: 2}
+	global, err := Train(train, cfg)
+	if err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	pu, err := TrainPerUser(train, cfg)
+	if err != nil {
+		t.Fatalf("TrainPerUser: %v", err)
+	}
+	if pu.PersonalModels() == 0 {
+		t.Fatal("no personal models, so per-user routing goes untested")
+	}
+	thresholds := []float64{0.5, 9, 20, 9}
+	models := []struct {
+		name     string
+		evaluate func([]trace.Visit, bool) ([]Accuracy, error)
+		predict  func(trace.Visit) (float64, error)
+	}{
+		{"global",
+			func(vs []trace.Visit, interest bool) ([]Accuracy, error) {
+				return global.Evaluate(vs, interest, thresholds...)
+			},
+			func(v trace.Visit) (float64, error) { return global.PredictSeconds(v.Features) }},
+		{"per-user",
+			func(vs []trace.Visit, interest bool) ([]Accuracy, error) {
+				return pu.Evaluate(vs, interest, thresholds...)
+			},
+			func(v trace.Visit) (float64, error) { return pu.PredictSeconds(v.User, v.Features) }},
+	}
+	for _, m := range models {
+		for _, interest := range []bool{false, true} {
+			got, err := m.evaluate(test, interest)
+			if err != nil {
+				t.Fatalf("%s interest=%v: Evaluate: %v", m.name, interest, err)
+			}
+			want := make([]Accuracy, len(thresholds))
+			for j, threshold := range thresholds {
+				want[j].Threshold = threshold
+			}
+			for _, v := range test {
+				if interest && v.ReadingSeconds < cfg.Alpha {
+					continue
+				}
+				pred, err := m.predict(v)
+				if err != nil {
+					t.Fatalf("%s: PredictSeconds: %v", m.name, err)
+				}
+				for j, threshold := range thresholds {
+					want[j].Total++
+					if (pred > threshold) == (v.ReadingSeconds > threshold) {
+						want[j].Correct++
+					}
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s interest=%v: Evaluate = %+v, per-visit tally %+v", m.name, interest, got, want)
+			}
+		}
+		short := []trace.Visit{{ReadingSeconds: 0.5, Features: train[0].Features}}
+		if _, err := m.evaluate(short, true); err == nil {
+			t.Errorf("%s: evaluation with no surviving visits succeeded", m.name)
+		}
 	}
 }
 
@@ -126,15 +203,11 @@ func TestFig15AccuracyBands(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Train: %v", err)
 		}
-		a9, err := p.Evaluate(test, 9, interest)
+		accs, err := p.Evaluate(test, interest, 9, 20)
 		if err != nil {
-			t.Fatalf("Evaluate(9): %v", err)
+			t.Fatalf("Evaluate: %v", err)
 		}
-		a20, err := p.Evaluate(test, 20, interest)
-		if err != nil {
-			t.Fatalf("Evaluate(20): %v", err)
-		}
-		acc[interest] = [2]float64{a9.Pct(), a20.Pct()}
+		acc[interest] = [2]float64{accs[0].Pct(), accs[1].Pct()}
 	}
 	with, without := acc[true], acc[false]
 	if with[0] < 78 || with[1] < 78 {
@@ -182,50 +255,6 @@ func TestAccuracyPct(t *testing.T) {
 	var empty Accuracy
 	if empty.Pct() != 0 {
 		t.Fatalf("empty Pct = %v, want 0", empty.Pct())
-	}
-}
-
-func TestRegressionMetrics(t *testing.T) {
-	ds := dataset(t)
-	train, test, err := Split(ds.Visits, 0.3, 7)
-	if err != nil {
-		t.Fatalf("Split: %v", err)
-	}
-	p, err := Train(train, Config{GBRT: fastGBRT(), UseInterestThreshold: true, Alpha: 2})
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	m, err := p.RegressionMetrics(test, true)
-	if err != nil {
-		t.Fatalf("RegressionMetrics: %v", err)
-	}
-	if m.N == 0 || m.MAE <= 0 || m.RMSE < m.MAE/2 || m.MedianAE <= 0 {
-		t.Fatalf("metrics = %+v", m)
-	}
-	// RMSE upweights outliers, so it is at least the MAE.
-	if m.RMSE < m.MAE {
-		t.Fatalf("RMSE %.2f below MAE %.2f", m.RMSE, m.MAE)
-	}
-	// The latent medians span up to ~200 s; a useful model keeps the median
-	// absolute error within a handful of seconds.
-	if m.MedianAE > 15 {
-		t.Fatalf("MedianAE = %.1f s, model not useful", m.MedianAE)
-	}
-}
-
-func TestRegressionMetricsNoSurvivors(t *testing.T) {
-	ds := dataset(t)
-	train, _, err := Split(ds.Visits, 0.3, 7)
-	if err != nil {
-		t.Fatalf("Split: %v", err)
-	}
-	p, err := Train(train, Config{GBRT: fastGBRT(), UseInterestThreshold: true, Alpha: 2})
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	short := []trace.Visit{{ReadingSeconds: 0.1}}
-	if _, err := p.RegressionMetrics(short, true); err == nil {
-		t.Fatal("no-survivor metrics succeeded")
 	}
 }
 
@@ -293,7 +322,7 @@ func TestLoadPredictorRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestPredictBatchSecondsMatchesSingle(t *testing.T) {
+func TestPredictBatchVecSecondsMatchesSingle(t *testing.T) {
 	ds := dataset(t)
 	train, test, err := Split(ds.Visits, 0.3, 7)
 	if err != nil {
@@ -310,8 +339,8 @@ func TestPredictBatchSecondsMatchesSingle(t *testing.T) {
 		vs = append(vs, v.Features)
 	}
 	out := make([]float64, len(vs))
-	if err := p.PredictBatchSeconds(vs, out); err != nil {
-		t.Fatalf("PredictBatchSeconds: %v", err)
+	if _, err := p.PredictBatchVecSeconds(vs, out, nil); err != nil {
+		t.Fatalf("PredictBatchVecSeconds: %v", err)
 	}
 	for i, v := range vs {
 		want, err := p.PredictSeconds(v)

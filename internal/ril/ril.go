@@ -101,10 +101,9 @@ const DefaultOpTimeout = 1 * time.Second
 
 // Interface is the simulated RIL daemon endpoint.
 type Interface struct {
-	clock   *simtime.Clock
-	radio   rrc.RadioModel
-	latency time.Duration
-	nextID  uint64
+	clock  *simtime.Clock
+	radio  rrc.RadioModel
+	nextID uint64
 
 	served   map[Status]int
 	faults   *faults.Injector
@@ -121,11 +120,6 @@ type optionFunc func(*Interface)
 
 func (f optionFunc) apply(r *Interface) { f(r) }
 
-// WithHopLatency overrides the message round-trip latency.
-func WithHopLatency(d time.Duration) Option {
-	return optionFunc(func(r *Interface) { r.latency = d })
-}
-
 // WithFaults attaches an impairment injector: operations can come back with
 // extra latency, be rejected with StatusError, or lose their response
 // entirely. A nil or disabled injector leaves the endpoint fault-free.
@@ -140,16 +134,12 @@ func New(clock *simtime.Clock, radio rrc.RadioModel, opts ...Option) (*Interface
 		return nil, errors.New("ril: nil clock or radio")
 	}
 	r := &Interface{
-		clock:   clock,
-		radio:   radio,
-		latency: DefaultHopLatency,
-		served:  make(map[Status]int, 3),
+		clock:  clock,
+		radio:  radio,
+		served: make(map[Status]int, 3),
 	}
 	for _, o := range opts {
 		o.apply(r)
-	}
-	if r.latency < 0 {
-		return nil, errors.New("ril: negative hop latency")
 	}
 	return r, nil
 }
@@ -178,7 +168,7 @@ func (r *Interface) Submit(op Op, reply func(Response)) uint64 {
 	outbound := plan.ExtraLatency / 2
 	// One hop to the daemon; the operation executes there, and the response
 	// takes the same path back.
-	r.clock.After(r.latency/2+outbound, func() {
+	r.clock.After(DefaultHopLatency/2+outbound, func() {
 		var resp Response
 		if plan.Error {
 			// The daemon rejects the request without executing it.
@@ -194,7 +184,7 @@ func (r *Interface) Submit(op Op, reply func(Response)) uint64 {
 			return
 		}
 		if reply != nil {
-			r.clock.After(r.latency/2+(plan.ExtraLatency-outbound), func() { reply(resp) })
+			r.clock.After(DefaultHopLatency/2+(plan.ExtraLatency-outbound), func() { reply(resp) })
 		}
 	})
 	return id

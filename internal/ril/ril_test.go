@@ -43,9 +43,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(clock, nil); err == nil {
 		t.Fatal("nil radio accepted")
 	}
-	if _, err := New(clock, radio, WithHopLatency(-time.Second)); err == nil {
-		t.Fatal("negative latency accepted")
-	}
 }
 
 func TestQueryState(t *testing.T) {
@@ -98,12 +95,12 @@ func TestForceDormancyBusyDuringTransfer(t *testing.T) {
 }
 
 func TestHopLatencyApplied(t *testing.T) {
-	clock, _, r := newRig(t, WithHopLatency(100*time.Millisecond))
+	clock, _, r := newRig(t)
 	var at time.Duration
 	r.Submit(OpQueryState, func(Response) { at = clock.Now() })
 	clock.Run()
-	if at != 100*time.Millisecond {
-		t.Fatalf("response at %v, want 100ms", at)
+	if at != DefaultHopLatency {
+		t.Fatalf("response at %v, want %v", at, DefaultHopLatency)
 	}
 }
 
