@@ -19,7 +19,6 @@ import (
 	"eabrowse/internal/predictor"
 	"eabrowse/internal/runner"
 	"eabrowse/internal/trace"
-	"eabrowse/internal/webpage"
 )
 
 // BenchmarkFig1StatePowerTrace samples the radio walking IDLE→DCH→FACH→IDLE.
@@ -255,7 +254,7 @@ func BenchmarkPageLoadEnergyAware(b *testing.B) {
 }
 
 func benchmarkPageLoad(b *testing.B, mode browser.Mode) {
-	page, err := webpage.ESPNSports()
+	page, err := experiments.ESPNPage()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -35,6 +35,7 @@ package eabrowse
 
 import (
 	"io"
+	"slices"
 	"time"
 
 	"eabrowse/internal/browser"
@@ -277,21 +278,27 @@ func DefaultPolicyParams() PolicyParams { return policy.DefaultParams() }
 // GeneratePage builds a deterministic synthetic page from a spec.
 func GeneratePage(spec PageSpec) (*Page, error) { return webpage.Generate(spec) }
 
-// MobileBenchmark generates the ten mobile-version Table 3 pages.
-func MobileBenchmark() ([]*Page, error) { return webpage.MobileBenchmark() }
+// MobileBenchmark returns the ten mobile-version Table 3 pages: the shared
+// corpus pages, in a fresh slice.
+func MobileBenchmark() ([]*Page, error) { return clonePages(experiments.MobilePages()) }
 
-// FullBenchmark generates the ten full-version Table 3 pages.
-func FullBenchmark() ([]*Page, error) { return webpage.FullBenchmark() }
+// FullBenchmark returns the ten full-version Table 3 pages: the shared corpus
+// pages, in a fresh slice.
+func FullBenchmark() ([]*Page, error) { return clonePages(experiments.FullPages()) }
 
-// ESPNSports generates the espn.go.com/sports stand-in (the paper's running
-// example page).
-func ESPNSports() (*Page, error) { return webpage.ESPNSports() }
+func clonePages(pages []*Page, err error) ([]*Page, error) {
+	return slices.Clone(pages), err
+}
 
-// MCNNPage generates the m.cnn.com stand-in (the paper's representative
+// ESPNSports returns the shared espn.go.com/sports stand-in (the paper's
+// running example page).
+func ESPNSports() (*Page, error) { return experiments.ESPNPage() }
+
+// MCNNPage returns the shared m.cnn.com stand-in (the paper's representative
 // mobile page).
-func MCNNPage() (*Page, error) { return webpage.MCNN() }
+func MCNNPage() (*Page, error) { return experiments.MCNNPage() }
 
-// BenchmarkPage generates any named benchmark page.
+// BenchmarkPage returns any named benchmark page (shared, read-only).
 func BenchmarkPage(name string) (*Page, error) { return experiments.PageByName(name) }
 
 // SynthesizeTrace builds a browsing trace with the paper's marginal

@@ -56,11 +56,6 @@ type Engine struct {
 	logEvents     bool
 	observer      *obs.Recorder
 
-	fetchAttempts   int
-	fetchBackoff    time.Duration
-	fetchBackoffCap time.Duration
-	fetchDeadline   time.Duration
-
 	// Per-load state.
 	page         *webpage.Page
 	plan         *loadPlan
@@ -220,19 +215,6 @@ func WithEventLog() Option {
 	return optionFunc(func(e *Engine) { e.logEvents = true })
 }
 
-// WithFetchRetryPolicy overrides the engine's fetch-hardening parameters:
-// the per-object attempt budget, the initial exponential backoff and its
-// cap, and the per-object deadline after which a failing fetch is abandoned
-// (the page then loads without the object).
-func WithFetchRetryPolicy(attempts int, backoff, backoffCap, deadline time.Duration) Option {
-	return optionFunc(func(e *Engine) {
-		e.fetchAttempts = attempts
-		e.fetchBackoff = backoff
-		e.fetchBackoffCap = backoffCap
-		e.fetchDeadline = deadline
-	})
-}
-
 // WithObserver streams load, transfer and phase events into r (a recorder
 // registered with an obs.Collector). A nil recorder keeps the engine's
 // observability hooks disabled.
@@ -244,9 +226,10 @@ func WithObserver(r *obs.Recorder) Option {
 // objects for every load instead of allocating fresh ones. The objects are
 // valid until the next Load on the same engine begins; callers that keep
 // results across loads (tables collecting one Result per page) must not use
-// this. Session pools and fleet replays, which consume each visit's result
-// before starting the next, turn it on to keep the per-visit allocation
-// count flat.
+// this. It is opt-in: a caller that consumes each visit's result before the
+// next starts passes it, for example to a session pool through
+// experiments.WithEngineOptions, to keep the per-visit allocation count
+// flat. easerd's pools and the fleet's traced engine leave it off.
 func WithReusableResults() Option {
 	return optionFunc(func(e *Engine) { e.reuseResults = true })
 }
@@ -274,24 +257,17 @@ func NewEngine(clock *simtime.Clock, radio rrc.RadioModel, link *netsim.Link,
 		return nil, fmt.Errorf("browser: unknown mode %d", int(mode))
 	}
 	e := &Engine{
-		clock:           clock,
-		radio:           radio,
-		link:            link,
-		cost:            cost,
-		mode:            mode,
-		cpu:             newCPU(clock, cost.CPUActiveWatts),
-		dormancyGuard:   DefaultDormancyGuard,
-		autoDormancy:    mode == ModeEnergyAware,
-		fetchAttempts:   DefaultFetchAttempts,
-		fetchBackoff:    DefaultFetchBackoff,
-		fetchBackoffCap: DefaultFetchBackoffCap,
-		fetchDeadline:   DefaultFetchDeadline,
+		clock:         clock,
+		radio:         radio,
+		link:          link,
+		cost:          cost,
+		mode:          mode,
+		cpu:           newCPU(clock, cost.CPUActiveWatts),
+		dormancyGuard: DefaultDormancyGuard,
+		autoDormancy:  mode == ModeEnergyAware,
 	}
 	for _, o := range opts {
 		o.apply(e)
-	}
-	if e.fetchAttempts < 1 || e.fetchBackoff < 0 || e.fetchBackoffCap < e.fetchBackoff || e.fetchDeadline <= 0 {
-		return nil, errors.New("browser: invalid fetch retry policy")
 	}
 	e.stateNames = stateNamesFor(radio)
 	e.cpu.observer = e.observer
@@ -333,9 +309,6 @@ func (e *Engine) Mode() Mode { return e.mode }
 // CPUPower returns the instantaneous extra CPU power, for metering.
 func (e *Engine) CPUPower() float64 { return e.cpu.Power() }
 
-// Loading reports whether a load is in progress.
-func (e *Engine) Loading() bool { return e.loading }
-
 // Load starts loading page; done is invoked (via the clock) when the final
 // display is on screen. Drive the simulation clock to make progress.
 func (e *Engine) Load(page *webpage.Page, done func(*Result)) error {
@@ -346,7 +319,7 @@ func (e *Engine) Load(page *webpage.Page, done func(*Result)) error {
 		return errors.New("browser: page has no main document")
 	}
 	e.page = page
-	e.plan = planFor(page)
+	e.plan = page.Derived(buildPlan).(*loadPlan)
 	e.doneFn = done
 	e.loading = true
 	e.startAt = e.clock.Now()
@@ -633,16 +606,16 @@ func (fs *fetchState) retry() {
 // fetchFailed decides between another backoff-delayed attempt and graceful
 // abandonment (budget spent or the per-object deadline passed).
 func (e *Engine) fetchFailed(fs *fetchState) {
-	if fs.attempt >= e.fetchAttempts || e.clock.Now()-fs.firstAt >= e.fetchDeadline {
+	if fs.attempt >= DefaultFetchAttempts || e.clock.Now()-fs.firstAt >= DefaultFetchDeadline {
 		e.res.FailedObjects++
 		e.logEvent(EventObjectFailed, fs.res.URL)
 		e.putFS(fs)
 		e.closeUnit()
 		return
 	}
-	backoff := e.fetchBackoff << (fs.attempt - 1)
-	if backoff > e.fetchBackoffCap {
-		backoff = e.fetchBackoffCap
+	backoff := DefaultFetchBackoff << (fs.attempt - 1)
+	if backoff > DefaultFetchBackoffCap {
+		backoff = DefaultFetchBackoffCap
 	}
 	e.res.FetchRetries++
 	e.logEvent(EventFetchRetried, fs.res.URL)

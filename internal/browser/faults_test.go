@@ -120,16 +120,15 @@ func TestDormancyFailureDegradesGracefully(t *testing.T) {
 	}
 }
 
-// TestFetchRetryBudgetAbandonsObjects: with a tight retry policy and a link
-// that fails most transfers, the engine must abandon objects (counting them)
-// rather than retry forever, and still finish the page.
+// TestFetchRetryBudgetAbandonsObjects: under the default retry budget and a
+// link that fails most transfers, the engine must abandon objects (counting
+// them) rather than retry forever, and still finish the page.
 func TestFetchRetryBudgetAbandonsObjects(t *testing.T) {
 	cfg := faults.Config{Seed: 23, FailRate: 0.9}
-	r := newFaultyRig(t, ModeEnergyAware, cfg, WithEventLog(),
-		WithFetchRetryPolicy(2, 100*time.Millisecond, 200*time.Millisecond, 30*time.Second))
+	r := newFaultyRig(t, ModeEnergyAware, cfg, WithEventLog())
 	res := r.load(t, testPage(t))
 	if res.FailedObjects == 0 {
-		t.Fatal("no objects abandoned at 90% hard-failure rate with a 2-attempt budget")
+		t.Fatal("no objects abandoned at 90% hard-failure rate with the default 3-attempt budget")
 	}
 	if !res.Degraded() {
 		t.Fatal("Degraded() false despite abandoned objects")
@@ -160,36 +159,5 @@ func TestOriginalModeAlsoSurvivesFaults(t *testing.T) {
 	res := r.load(t, testPage(t))
 	if res.FinalDisplayAt <= 0 {
 		t.Fatal("original mode never finished under faults")
-	}
-}
-
-func TestWithFetchRetryPolicyValidation(t *testing.T) {
-	tests := []struct {
-		name                          string
-		attempts                      int
-		backoff, backoffCap, deadline time.Duration
-	}{
-		{"zero attempts", 0, time.Second, time.Second, time.Minute},
-		{"negative backoff", 3, -time.Second, time.Second, time.Minute},
-		{"cap below backoff", 3, 2 * time.Second, time.Second, time.Minute},
-		{"zero deadline", 3, time.Second, time.Second, 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			clock := simtime.NewClock()
-			radio, err := rrc.NewMachine(clock, rrc.DefaultConfig())
-			if err != nil {
-				t.Fatalf("NewMachine: %v", err)
-			}
-			link, err := netsim.NewLink(clock, radio, netsim.DefaultConfig())
-			if err != nil {
-				t.Fatalf("NewLink: %v", err)
-			}
-			_, err = NewEngine(clock, radio, link, DefaultCostModel(), ModeOriginal,
-				WithFetchRetryPolicy(tt.attempts, tt.backoff, tt.backoffCap, tt.deadline))
-			if err == nil {
-				t.Fatal("bad retry policy accepted")
-			}
-		})
 	}
 }

@@ -1,8 +1,6 @@
 package browser
 
 import (
-	"sync"
-
 	"eabrowse/internal/cssscan"
 	"eabrowse/internal/jsmini"
 	"eabrowse/internal/webpage"
@@ -17,8 +15,7 @@ import (
 // charge the *simulated* parse/scan/execute costs.
 //
 // Everything reachable from a loadPlan is written only during buildPlan and
-// read-only afterwards; the race-hammer test in loadplan_test.go runs
-// concurrent visits over one plan under -race to enforce that.
+// read-only afterwards.
 type loadPlan struct {
 	// streams holds the tokenized form of every HTML resource, keyed by URL.
 	streams map[string]*docStream
@@ -39,23 +36,11 @@ type scriptPlan struct {
 	effStream *docStream
 }
 
-// planCache shares loadPlans across engines and goroutines. Racing builders
-// for the same page produce identical plans (the build is a pure function of
-// the page), so LoadOrStore keeping either one is sound.
-var planCache sync.Map // *webpage.Page -> *loadPlan
-
-// planFor returns the shared plan for page, building it on first use.
-func planFor(page *webpage.Page) *loadPlan {
-	if v, ok := planCache.Load(page); ok {
-		return v.(*loadPlan)
-	}
-	v, _ := planCache.LoadOrStore(page, buildPlan(page))
-	return v.(*loadPlan)
-}
-
 // buildPlan walks the page from its main document, tokenizing every reachable
-// HTML stream and evaluating every reachable script exactly once.
-func buildPlan(page *webpage.Page) *loadPlan {
+// HTML stream and evaluating every reachable script exactly once. The engine
+// keeps the result as the page's derived value (webpage.Page.Derived), so a
+// plan is built once per page and freed with it.
+func buildPlan(page *webpage.Page) any {
 	p := &loadPlan{
 		streams: make(map[string]*docStream),
 		scripts: make(map[string]*scriptPlan),

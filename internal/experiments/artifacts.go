@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
+	"strings"
+
 	"eabrowse/internal/channel"
 	"eabrowse/internal/policy"
 	"eabrowse/internal/predictor"
@@ -19,15 +23,17 @@ import (
 // now each is built exactly once per process, even when experiments run
 // concurrently.
 //
+// Every benchmark page exists once: the named pages (ESPNPage, MCNNPage,
+// MotorsEbayPage, PageByName) are the corpus entries themselves, not copies.
+// Each page carries its own browser load plan (webpage.Page.Derived), so
+// ResetArtifacts frees the pages together with their plans.
+//
 // Cached artifacts are shared by pointer and must be treated as immutable:
 // pages are read-only to the browser engine, datasets are read-only to
 // training and evaluation, and trained predictors are read-only to Predict.
 type artifactStore struct {
 	mobile runner.Memo[[]*webpage.Page]
 	full   runner.Memo[[]*webpage.Page]
-	espn   runner.Memo[*webpage.Page]
-	mcnn   runner.Memo[*webpage.Page]
-	ebay   runner.Memo[*webpage.Page]
 	trace  runner.Memo[*trace.Dataset]
 	split  runner.Memo[traceSplit]
 	// predictors is keyed by whether the interest threshold was applied in
@@ -86,20 +92,39 @@ func BenchmarkPages() ([]*webpage.Page, error) {
 	return append(pages, full...), nil
 }
 
-// ESPNPage returns the shared espn.go.com/sports stand-in.
-func ESPNPage() (*webpage.Page, error) {
-	return artifacts.espn.Get(webpage.ESPNSports)
+// PageByName returns the shared benchmark page with the given name. The
+// corpus name lists index the memoized corpora, so a name resolves to the
+// corpus's own page and builds only the corpus it belongs to.
+func PageByName(name string) (*webpage.Page, error) {
+	if i := slices.Index(webpage.MobilePageNames, name); i >= 0 {
+		mobile, err := MobilePages()
+		if err != nil {
+			return nil, err
+		}
+		return mobile[i], nil
+	}
+	if i := slices.Index(webpage.FullPageNames, name); i >= 0 {
+		full, err := FullPages()
+		if err != nil {
+			return nil, err
+		}
+		return full[i], nil
+	}
+	return nil, fmt.Errorf("experiments: unknown benchmark page %q (have: %s)",
+		name, strings.Join(webpage.BenchmarkPageNames(), ", "))
 }
 
-// MCNNPage returns the shared m.cnn.com stand-in.
-func MCNNPage() (*webpage.Page, error) {
-	return artifacts.mcnn.Get(webpage.MCNN)
-}
+// ESPNPage returns the shared espn.go.com/sports stand-in used by Fig. 4,
+// Fig. 9, Fig. 10(b), Fig. 12 and Fig. 13 (≈760 KB full-version page).
+func ESPNPage() (*webpage.Page, error) { return PageByName("espn.go.com/sports") }
 
-// MotorsEbayPage returns the shared www.motors.ebay.com stand-in.
-func MotorsEbayPage() (*webpage.Page, error) {
-	return artifacts.ebay.Get(webpage.MotorsEbay)
-}
+// MCNNPage returns the shared m.cnn.com stand-in used by Fig. 8(b) and
+// Fig. 10(b).
+func MCNNPage() (*webpage.Page, error) { return PageByName("m.cnn.com") }
+
+// MotorsEbayPage returns the shared www.motors.ebay.com stand-in used by
+// Fig. 8(b).
+func MotorsEbayPage() (*webpage.Page, error) { return PageByName("www.motors.ebay.com") }
 
 // DefaultTrace returns the shared default synthesized trace (the paper's
 // 40-user collection).

@@ -17,7 +17,7 @@ import (
 // pooledVisit warms a session pool and returns one steady-state page visit
 // on it, the one /v1/simulate runs: check a session out, visit m.cnn.com
 // (load to final display, Fig. 10's 20 s reading window, ledger close),
-// check it back in. The warm-up fills the load-plan cache and the pool's
+// check it back in. The warm-up builds the page's load plan and the pool's
 // result buffers.
 func pooledVisit(tb testing.TB, mode browser.Mode) func() {
 	tb.Helper()
@@ -194,6 +194,41 @@ func TestFoldedVisitAllocs(t *testing.T) {
 	t.Logf("user %d: %d visits, %v allocs per replay", user, visits, allocs)
 	if allocs != 0 {
 		t.Fatalf("warmed folded replay allocates %v per user (%d visits), want 0", allocs, visits)
+	}
+}
+
+// maxResetRetainedBytes bounds how much live heap two further artifact
+// reset cycles may add to the first one. A cycle's trace pool pages and
+// their load plans are about 8.5 MB, so one leaked cycle exceeds it.
+const maxResetRetainedBytes = 2 << 20
+
+// TestResetArtifactsAllocsRetained gates retention across artifact resets:
+// ResetArtifacts must release everything the previous cycle built, pages and
+// their load plans included, so three cycles of ResetArtifacts and
+// DefaultTrace hold as much live heap as one.
+func TestResetArtifactsAllocsRetained(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector shadow memory distorts heap sizes; the gate holds only in normal builds")
+	}
+	cycle := func() uint64 {
+		ResetArtifacts()
+		if _, err := DefaultTrace(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	first := cycle()
+	cycle()
+	third := cycle()
+	t.Logf("live heap: %.1f MB after one cycle, %.1f MB after three",
+		float64(first)/(1<<20), float64(third)/(1<<20))
+	if third > first+maxResetRetainedBytes {
+		t.Fatalf("three reset cycles hold %.1f MB more live heap than one, want <= %.0f MB",
+			float64(third-first)/(1<<20), float64(maxResetRetainedBytes)/(1<<20))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"eabrowse/internal/browser"
 	"eabrowse/internal/rrc"
+	"eabrowse/internal/webpage"
 )
 
 func TestSessionValidation(t *testing.T) {
@@ -32,6 +33,42 @@ func TestPageByName(t *testing.T) {
 	}
 	if _, err := PageByName("no.such.page"); err == nil {
 		t.Fatal("unknown page accepted")
+	}
+}
+
+// TestNamedPagesAreCorpusEntries: every benchmark page exists once per
+// process. The named accessors and PageByName hand out the corpora's own
+// pointers, never a regenerated copy.
+func TestNamedPagesAreCorpusEntries(t *testing.T) {
+	corpus, err := BenchmarkPages()
+	if err != nil {
+		t.Fatalf("BenchmarkPages: %v", err)
+	}
+	byName := make(map[string]*webpage.Page, len(corpus))
+	for _, p := range corpus {
+		byName[p.Name] = p
+	}
+	for _, name := range webpage.BenchmarkPageNames() {
+		p, err := PageByName(name)
+		if err != nil {
+			t.Fatalf("PageByName(%s): %v", name, err)
+		}
+		if p != byName[name] {
+			t.Errorf("PageByName(%s) is not the corpus entry", name)
+		}
+	}
+	for name, get := range map[string]func() (*webpage.Page, error){
+		"espn.go.com/sports":  ESPNPage,
+		"m.cnn.com":           MCNNPage,
+		"www.motors.ebay.com": MotorsEbayPage,
+	} {
+		p, err := get()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if p != byName[name] {
+			t.Errorf("named accessor for %s is not the corpus entry", name)
+		}
 	}
 }
 

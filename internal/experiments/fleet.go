@@ -45,12 +45,10 @@ type FleetConfig struct {
 	HoursPerUser float64
 	// Seed makes the fleet trace reproducible.
 	Seed int64
-	// Radio names the radio profile every phone runs ("umts", "lte", "nr").
-	// Empty means the session default (see SetDefaultRadioProfile).
-	Radio string
 	// RadioMix assigns profiles across the fleet, e.g. "umts:0.6,lte:0.4":
-	// each user is drawn one profile, deterministically in (Seed, user).
-	// Mutually exclusive with Radio.
+	// each user is drawn one profile, deterministically in (Seed, user). A
+	// one-entry mix ("lte:1") runs that profile fleet-wide without a draw.
+	// Empty means the session default (see SetDefaultRadioProfile).
 	RadioMix string
 	// Channel names a built-in channel scenario (see channel.Scenarios) every
 	// phone browses through; its clock starts at each user's first visit and
@@ -201,24 +199,13 @@ func parseRadioMix(mix string) ([]fleetRadio, error) {
 	return out, nil
 }
 
-// fleetRadios resolves the configured radio selection: an explicit mix, a
-// single named profile, or the session default.
+// fleetRadios resolves the configured radio selection: an explicit mix or
+// the session default.
 func (c FleetConfig) fleetRadios() ([]fleetRadio, error) {
-	switch {
-	case c.RadioMix != "":
-		if c.Radio != "" {
-			return nil, fmt.Errorf("fleet: Radio %q and RadioMix %q are mutually exclusive", c.Radio, c.RadioMix)
-		}
+	if c.RadioMix != "" {
 		return parseRadioMix(c.RadioMix)
-	case c.Radio != "":
-		spec, err := rrc.ProfileSpec(c.Radio)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: %w", err)
-		}
-		return []fleetRadio{newFleetRadio(spec)}, nil
-	default:
-		return []fleetRadio{newFleetRadio(DefaultRadioSpec())}, nil
 	}
+	return []fleetRadio{newFleetRadio(DefaultRadioSpec())}, nil
 }
 
 // describeRadios renders the resolved selection for FleetResult.Radio.

@@ -25,15 +25,18 @@ func fleetWith(t *testing.T, cfg FleetConfig, folded bool, budget int) *FleetRes
 // agree exactly (with exact sketches the two produce the same transmission
 // multiset), energies to floating-point association.
 func TestFleetFoldMatchesSequential(t *testing.T) {
-	cases := []FleetConfig{
-		{Users: 400, HoursPerUser: 0.1, Seed: 20130709},
-		{Users: 200, HoursPerUser: 0.1, Seed: 7, Radio: "lte"},
-		{Users: 200, HoursPerUser: 0.1, Seed: 11, RadioMix: "umts:0.5,nr:0.5"},
-		{Users: 120, HoursPerUser: 0.1, Seed: 3, Channel: "fading"},
+	cases := []struct {
+		name string
+		cfg  FleetConfig
+	}{
+		{"", FleetConfig{Users: 400, HoursPerUser: 0.1, Seed: 20130709}},
+		{"lte", FleetConfig{Users: 200, HoursPerUser: 0.1, Seed: 7, RadioMix: "lte:1"}},
+		{"umts:0.5,nr:0.5", FleetConfig{Users: 200, HoursPerUser: 0.1, Seed: 11, RadioMix: "umts:0.5,nr:0.5"}},
+		{"fading", FleetConfig{Users: 120, HoursPerUser: 0.1, Seed: 3, Channel: "fading"}},
 	}
-	for _, cfg := range cases {
-		cfg := cfg
-		t.Run(cfg.Radio+cfg.RadioMix+cfg.Channel, func(t *testing.T) {
+	for _, tc := range cases {
+		cfg := tc.cfg
+		t.Run(tc.name, func(t *testing.T) {
 			folded := fleetWith(t, cfg, true, 0)
 			seq := fleetWith(t, cfg, false, 0)
 

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestFleetRadioValidation checks the radio selection's failure modes: the
-// single-profile and mix fields are mutually exclusive, and every malformed
-// mix string is rejected with a pointed error.
+// TestFleetRadioValidation checks the radio selection's failure modes: every
+// malformed mix string, single-profile mixes included, is rejected with a
+// pointed error.
 func TestFleetRadioValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -16,11 +16,8 @@ func TestFleetRadioValidation(t *testing.T) {
 		want string
 	}{
 		{"unknown single profile",
-			FleetConfig{Users: 2, HoursPerUser: 0.01, Radio: "wimax"},
+			FleetConfig{Users: 2, HoursPerUser: 0.01, RadioMix: "wimax:1"},
 			"unknown radio profile"},
-		{"single and mix together",
-			FleetConfig{Users: 2, HoursPerUser: 0.01, Radio: "umts", RadioMix: "lte:1"},
-			"mutually exclusive"},
 		{"mix entry without weight",
 			FleetConfig{Users: 2, HoursPerUser: 0.01, RadioMix: "umts"},
 			"not name:weight"},
@@ -54,7 +51,7 @@ func TestFleetRadioValidation(t *testing.T) {
 }
 
 // TestFleetExplicitUMTSMatchesDefault pins the refactor's no-perturbation
-// contract on the fleet path: naming "umts" explicitly must reproduce the
+// contract on the fleet path: a one-entry "umts:1" mix must reproduce the
 // default fleet bit for bit (same templates, same cursor arithmetic, no
 // radio-assignment draw on single-profile fleets).
 func TestFleetExplicitUMTSMatchesDefault(t *testing.T) {
@@ -63,7 +60,7 @@ func TestFleetExplicitUMTSMatchesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatalf("default Fleet: %v", err)
 	}
-	cfg.Radio = "umts"
+	cfg.RadioMix = "umts:1"
 	named, err := Fleet(cfg)
 	if err != nil {
 		t.Fatalf("umts Fleet: %v", err)
@@ -82,7 +79,7 @@ func TestFleetExplicitUMTSMatchesDefault(t *testing.T) {
 func TestFleetSingleRadioBackends(t *testing.T) {
 	for _, profile := range []string{"lte", "nr"} {
 		t.Run(profile, func(t *testing.T) {
-			res, err := Fleet(FleetConfig{Users: 4, HoursPerUser: 0.02, Seed: 3, Radio: profile})
+			res, err := Fleet(FleetConfig{Users: 4, HoursPerUser: 0.02, Seed: 3, RadioMix: profile + ":1"})
 			if err != nil {
 				t.Fatalf("Fleet(%s): %v", profile, err)
 			}

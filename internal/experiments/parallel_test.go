@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"eabrowse/internal/runner"
+	"eabrowse/internal/webpage"
 )
 
 // withWorkers runs fn under a fixed worker-pool size, restoring the previous
@@ -117,12 +118,13 @@ func TestFleetRejectsBadConfig(t *testing.T) {
 
 // TestArtifactCacheHammer pounds the artifact store from many goroutines
 // (run with -race): every accessor must build exactly once and hand every
-// caller the same pointer.
+// caller the same pointer, and the named page must be the corpus's own entry.
 func TestArtifactCacheHammer(t *testing.T) {
 	const goroutines = 32
 	type grab struct {
 		mobile interface{}
-		espn   interface{}
+		full   *webpage.Page
+		espn   *webpage.Page
 		ds     interface{}
 		pred   interface{}
 	}
@@ -142,6 +144,11 @@ func TestArtifactCacheHammer(t *testing.T) {
 				t.Errorf("ESPNPage: %v", err)
 				return
 			}
+			full, err := FullPages()
+			if err != nil {
+				t.Errorf("FullPages: %v", err)
+				return
+			}
 			ds, err := DefaultTrace()
 			if err != nil {
 				t.Errorf("DefaultTrace: %v", err)
@@ -152,7 +159,7 @@ func TestArtifactCacheHammer(t *testing.T) {
 				t.Errorf("TrainedPredictor: %v", err)
 				return
 			}
-			grabs[g] = grab{mobile: &mobile[0], espn: espn, ds: ds, pred: pred}
+			grabs[g] = grab{mobile: &mobile[0], full: full[2], espn: espn, ds: ds, pred: pred}
 		}(g)
 	}
 	wg.Wait()
@@ -161,11 +168,15 @@ func TestArtifactCacheHammer(t *testing.T) {
 			t.Fatalf("goroutine %d saw different artifacts than goroutine 0", g)
 		}
 	}
+	if grabs[0].espn != grabs[0].full {
+		t.Fatal("ESPNPage is not the full corpus's espn.go.com/sports entry")
+	}
 }
 
 // TestBenchmarkPagesFreshSlice guards the aliasing bug the cache design rules
 // out: appending to the combined slice must never scribble over the cached
-// mobile corpus.
+// mobile corpus. The slice is fresh; the pages in it are the shared ones,
+// named pages included.
 func TestBenchmarkPagesFreshSlice(t *testing.T) {
 	a, err := BenchmarkPages()
 	if err != nil {
@@ -180,5 +191,12 @@ func TestBenchmarkPagesFreshSlice(t *testing.T) {
 	}
 	if len(a) != len(b) || a[0] != b[0] || a[len(a)-1] != b[len(b)-1] {
 		t.Fatal("BenchmarkPages contents diverged between calls")
+	}
+	cnn, err := MCNNPage()
+	if err != nil {
+		t.Fatalf("MCNNPage: %v", err)
+	}
+	if a[0] != cnn {
+		t.Fatal("BenchmarkPages holds a different m.cnn.com than MCNNPage")
 	}
 }

@@ -32,8 +32,8 @@ func TestPooledSessionMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	pages = pages[:4]
-	// Visit sequence with repeats, so the plan cache and pooled buffers see
-	// both cold and warm pages.
+	// Visit sequence with repeats, so the pages' load plans and the pooled
+	// buffers are seen both cold and warm.
 	seq := []int{0, 1, 2, 3, 1, 0, 3, 2, 0, 0}
 	for _, mode := range []browser.Mode{browser.ModeOriginal, browser.ModeEnergyAware} {
 		pool := NewSessionPool(mode, WithEngineOptions(browser.WithReusableResults()))
@@ -71,8 +71,8 @@ func TestPooledSessionMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestSessionPoolHammer drives a shared pool — and through it the shared
-// read-only load-plan cache — from many goroutines at once. Run under
+// TestSessionPoolHammer drives a shared pool — and through it the pages'
+// shared read-only load plans — from many goroutines at once. Run under
 // -race in CI; every goroutine must still see exactly the per-page results
 // the serial reference produced.
 func TestSessionPoolHammer(t *testing.T) {
@@ -252,7 +252,7 @@ func TestFleetTracedMatchesTemplated(t *testing.T) {
 	} {
 		t.Run(tc.radio+"/"+tc.policy, func(t *testing.T) {
 			cfg := tc.cfg
-			cfg.Radio, cfg.Policy = tc.radio, tc.policy
+			cfg.RadioMix, cfg.Policy = tc.radio+":1", tc.policy
 			analytic, err := Fleet(cfg)
 			if err != nil {
 				t.Fatalf("templated Fleet: %v", err)

@@ -6,7 +6,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -265,28 +264,4 @@ func LoadPage(page *webpage.Page, mode browser.Mode, reading time.Duration,
 		return LoadOutcome{}, err
 	}
 	return s.Visit(page, reading)
-}
-
-// PageByName generates the named benchmark page.
-func PageByName(name string) (*webpage.Page, error) {
-	for i, n := range webpage.MobilePageNames {
-		if n == name {
-			spec, err := webpage.MobileSpec(i)
-			if err != nil {
-				return nil, err
-			}
-			return webpage.Generate(spec)
-		}
-	}
-	for i, n := range webpage.FullPageNames {
-		if n == name {
-			spec, err := webpage.FullSpec(i)
-			if err != nil {
-				return nil, err
-			}
-			return webpage.Generate(spec)
-		}
-	}
-	return nil, fmt.Errorf("experiments: unknown benchmark page %q (have: %s)",
-		name, strings.Join(webpage.BenchmarkPageNames(), ", "))
 }

@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// AtomicHist is the concurrent sibling of the single-threaded histogram:
-// the same fixed millisecond bucket layout (so snapshots merge bucket-wise
-// with Recorder histograms), but every field is an atomic, making Observe
-// safe — and lock-free — from any number of goroutines. The resident
-// service stripes these per CPU on its request path; the simulation side
-// keeps the plain histogram, which is cheaper when single-threaded.
+// AtomicHist is the one duration histogram: fixed millisecond buckets
+// (histogramBucketsMS plus an overflow bucket), integer counts and an integer
+// nanosecond sum, so snapshots are deterministic and merge bucket-wise. Every
+// field is an atomic, making Observe safe — and lock-free — from any number
+// of goroutines. The resident service stripes these per CPU on its request
+// path; a Recorder keeps one per name for its single simulated phone.
 type AtomicHist struct {
 	buckets [len14]atomic.Int64
 	count   atomic.Int64
@@ -52,8 +52,16 @@ func (h *AtomicHist) Snapshot() HistogramSnapshot {
 }
 
 // Merge adds o's counts into s bucket-wise; both sides must use the fixed
-// bucket layout. Exported so callers striping AtomicHists can fold the
-// per-stripe snapshots into one.
+// bucket layout. Callers striping AtomicHists fold the per-stripe snapshots
+// into one with it, and the Collector aggregates sessions with it.
 func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	s.merge(o)
+	s.Count += o.Count
+	s.SumMS = Round6(s.SumMS + o.SumMS)
+	if s.Buckets == nil {
+		s.Buckets = append([]HistogramBucket(nil), o.Buckets...)
+		return
+	}
+	for i := range s.Buckets {
+		s.Buckets[i].N += o.Buckets[i].N
+	}
 }

@@ -136,10 +136,10 @@ func (c *Collector) Snapshot() Metrics {
 		if len(r.hists) > 0 {
 			sm.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
 			for name, h := range r.hists {
-				snap := h.snapshot()
+				snap := h.Snapshot()
 				sm.Histograms[name] = snap
 				agg := m.Histograms[name]
-				agg.merge(snap)
+				agg.Merge(snap)
 				m.Histograms[name] = agg
 			}
 		}

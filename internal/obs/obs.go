@@ -23,7 +23,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -102,7 +101,7 @@ type Recorder struct {
 	key      string
 	events   []Event
 	counters map[string]int64
-	hists    map[string]*histogram
+	hists    map[string]*AtomicHist
 }
 
 // NewRecorder returns a standalone recorder (not attached to a Collector);
@@ -155,14 +154,14 @@ func (r *Recorder) ObserveDur(name string, d time.Duration) {
 		return
 	}
 	if r.hists == nil {
-		r.hists = make(map[string]*histogram)
+		r.hists = make(map[string]*AtomicHist)
 	}
 	h := r.hists[name]
 	if h == nil {
-		h = &histogram{}
+		h = &AtomicHist{}
 		r.hists[name] = h
 	}
-	h.observe(d)
+	h.Observe(d)
 }
 
 // Events returns a copy of the recorded events, in emission order.
@@ -192,25 +191,9 @@ func (r *Recorder) Counters() map[string]int64 {
 // identical run to run, which is what makes metrics files diffable.
 var histogramBucketsMS = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000}
 
-// histogram is a fixed-bucket duration histogram (integer counts, integer
-// nanosecond sum — fully deterministic).
-type histogram struct {
-	buckets [len14]int64
-	count   int64
-	sumNS   int64
-}
-
 // len14 is len(histogramBucketsMS)+1 (the overflow bucket); Go needs a
 // constant for the array length.
 const len14 = 14
-
-func (h *histogram) observe(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	idx := sort.SearchFloat64s(histogramBucketsMS, ms)
-	h.buckets[idx]++
-	h.count++
-	h.sumNS += int64(d)
-}
 
 // HistogramBucket is one bucket of a snapshot; LeMS <= 0 marks the overflow
 // bucket.
@@ -224,33 +207,4 @@ type HistogramSnapshot struct {
 	Count   int64             `json:"count"`
 	SumMS   float64           `json:"sum_ms"`
 	Buckets []HistogramBucket `json:"buckets"`
-}
-
-func (h *histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Count:   h.count,
-		SumMS:   Round6(float64(h.sumNS) / float64(time.Millisecond)),
-		Buckets: make([]HistogramBucket, 0, len14),
-	}
-	for i, n := range h.buckets {
-		le := float64(-1) // overflow
-		if i < len(histogramBucketsMS) {
-			le = histogramBucketsMS[i]
-		}
-		s.Buckets = append(s.Buckets, HistogramBucket{LeMS: le, N: n})
-	}
-	return s
-}
-
-// merge adds o's counts into the snapshot (bucket-wise; layouts are fixed).
-func (s *HistogramSnapshot) merge(o HistogramSnapshot) {
-	s.Count += o.Count
-	s.SumMS = Round6(s.SumMS + o.SumMS)
-	if s.Buckets == nil {
-		s.Buckets = append([]HistogramBucket(nil), o.Buckets...)
-		return
-	}
-	for i := range s.Buckets {
-		s.Buckets[i].N += o.Buckets[i].N
-	}
 }

@@ -57,7 +57,7 @@ func TestHistogramBucketsAndSnapshot(t *testing.T) {
 	r.ObserveDur("xfer_ns", 3*time.Millisecond)   // le=5ms
 	r.ObserveDur("xfer_ns", time.Minute)          // overflow
 	h := r.hists["xfer_ns"]
-	snap := h.snapshot()
+	snap := h.Snapshot()
 	if snap.Count != 4 {
 		t.Fatalf("count = %d", snap.Count)
 	}
@@ -80,13 +80,13 @@ func TestHistogramBucketsAndSnapshot(t *testing.T) {
 	}
 
 	// Merge doubles every count.
-	agg := h.snapshot()
-	agg.merge(snap)
+	agg := h.Snapshot()
+	agg.Merge(snap)
 	if agg.Count != 8 || agg.Buckets[0].N != 4 {
 		t.Fatalf("merge wrong: %+v", agg)
 	}
 	var empty HistogramSnapshot
-	empty.merge(snap)
+	empty.Merge(snap)
 	if empty.Count != 4 || len(empty.Buckets) != len(snap.Buckets) {
 		t.Fatalf("merge into empty wrong: %+v", empty)
 	}

@@ -401,33 +401,6 @@ func parseBrowserMode(w http.ResponseWriter, name string) (browser.Mode, bool) {
 	}
 }
 
-// pageByName resolves and caches a benchmark page (generation is pure CPU;
-// the cache makes repeated requests cheap). The cache is copy-on-write: a
-// lookup is one atomic load, and only a miss takes the writer lock to swap
-// in a grown copy of the map.
-func (s *Server) pageByName(name string) (*webpage.Page, error) {
-	if p, ok := (*s.pages.Load())[name]; ok {
-		return p, nil
-	}
-	s.pagesMu.Lock()
-	defer s.pagesMu.Unlock()
-	cur := *s.pages.Load()
-	if p, ok := cur[name]; ok {
-		return p, nil
-	}
-	p, err := experiments.PageByName(name)
-	if err != nil {
-		return nil, err
-	}
-	next := make(map[string]*webpage.Page, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[name] = p
-	s.pages.Store(&next)
-	return p, nil
-}
-
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req simulateRequest
@@ -455,7 +428,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("reading_s must be in [0, %v]", maxSimulatedReading.Seconds()))
 		return
 	}
-	page, err := s.pageByName(req.Page)
+	page, err := experiments.PageByName(req.Page)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

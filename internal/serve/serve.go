@@ -54,7 +54,6 @@ import (
 	"eabrowse/internal/experiments"
 	"eabrowse/internal/retry"
 	"eabrowse/internal/rrc"
-	"eabrowse/internal/webpage"
 )
 
 // Config describes one service instance.
@@ -152,12 +151,11 @@ type Server struct {
 	// bytes to canonical strings without allocating.
 	radioNames []string
 
-	// Per-request simulation machinery: benchmark pages cached by name,
-	// pooled zero-alloc sessions per (browser mode, radio profile). Both
-	// maps are copy-on-write — readers follow the atomic pointer lock-free,
-	// the mutexes only serialize the (rare) writers.
-	pagesMu sync.Mutex
-	pages   atomic.Pointer[map[string]*webpage.Page]
+	// Per-request simulation machinery: pooled zero-alloc sessions per
+	// (browser mode, radio profile). The map is copy-on-write — readers
+	// follow the atomic pointer lock-free, the mutex only serializes the
+	// (rare) writers. Pages come from experiments.PageByName, the process's
+	// one copy of each benchmark page.
 	poolsMu sync.Mutex
 	pools   atomic.Pointer[map[poolKey]*experiments.SessionPool]
 }
@@ -212,8 +210,6 @@ func New(cfg Config) (*Server, error) {
 		radioNames: rrc.Profiles(),
 	}
 	s.scratch = s.newScratchPool()
-	pages := make(map[string]*webpage.Page)
-	s.pages.Store(&pages)
 	pools := map[poolKey]*experiments.SessionPool{
 		{browser.ModeOriginal, "umts"}: experiments.NewSessionPool(
 			browser.ModeOriginal, experiments.WithRadioModel(rrc.DefaultConfig())),

@@ -272,6 +272,31 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestSimulateUnknownPagesLeaveNoState: /v1/simulate resolves pages through
+// the process's one benchmark corpus, so a flood of distinct unknown names
+// answers 400 with the valid-name list and grows nothing in the server.
+func TestSimulateUnknownPagesLeaveNoState(t *testing.T) {
+	s, base := startServer(t, Config{ModelPath: goldenModelPath})
+	pools := len(*s.pools.Load())
+	for i := 0; i < 1000; i++ {
+		name := fmt.Sprintf("m.nosuch%04d.example", i)
+		var er errorResponse
+		if code := postJSON(t, base+"/v1/simulate", simulateRequest{Page: name}, &er); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", name, code)
+		}
+		if !strings.Contains(er.Error, name) || !strings.Contains(er.Error, "have: m.cnn.com") {
+			t.Fatalf("%s: error %q lacks the name or the valid-name list", name, er.Error)
+		}
+	}
+	if got := len(*s.pools.Load()); got != pools {
+		t.Fatalf("unknown pages grew the session pools from %d to %d", pools, got)
+	}
+	var sr simulateResponse
+	if code := postJSON(t, base+"/v1/simulate", simulateRequest{Page: "m.cnn.com", ReadingS: 1}, &sr); code != http.StatusOK {
+		t.Fatalf("known page after the flood: status %d", code)
+	}
+}
+
 func TestNotReadyWithoutModel(t *testing.T) {
 	s, base := startServer(t, Config{})
 	if s.Ready() {

@@ -48,11 +48,6 @@ func StdDev(xs []float64) (float64, error) {
 	return math.Sqrt(v), nil
 }
 
-// Median returns the median of xs.
-func Median(xs []float64) (float64, error) {
-	return Percentile(xs, 50)
-}
-
 // Percentile returns the p-th percentile (0..100) of xs using linear
 // interpolation between closest ranks.
 func Percentile(xs []float64, p float64) (float64, error) {

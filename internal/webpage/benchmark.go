@@ -126,31 +126,3 @@ func generateCorpus(n int, specAt func(int) (Spec, error)) ([]*Page, error) {
 		return p, nil
 	})
 }
-
-// ESPNSports generates the espn.go.com/sports stand-in used by Fig. 4,
-// Fig. 9, Fig. 10(b), Fig. 12 and Fig. 13 (≈760 KB full-version page).
-func ESPNSports() (*Page, error) {
-	spec, err := FullSpec(2)
-	if err != nil {
-		return nil, err
-	}
-	return Generate(spec)
-}
-
-// MCNN generates the m.cnn.com stand-in used by Fig. 8(b) and Fig. 10(b).
-func MCNN() (*Page, error) {
-	spec, err := MobileSpec(0)
-	if err != nil {
-		return nil, err
-	}
-	return Generate(spec)
-}
-
-// MotorsEbay generates the www.motors.ebay.com stand-in used by Fig. 8(b).
-func MotorsEbay() (*Page, error) {
-	spec, err := FullSpec(1)
-	if err != nil {
-		return nil, err
-	}
-	return Generate(spec)
-}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 )
 
 // ResourceType classifies a fetchable resource.
@@ -74,6 +75,19 @@ type Page struct {
 	Mobile    bool
 	MainURL   string
 	resources map[string]*Resource
+
+	derivedOnce sync.Once
+	derived     any
+}
+
+// Derived returns the value build derives from the page, calling build at
+// most once per page; concurrent callers wait for the first build. The page
+// holds the value, so it lives and dies with the page. A page has one derived
+// slot: every caller must pass the same builder (the browser keeps its
+// precomputed load plan here).
+func (p *Page) Derived(build func(*Page) any) any {
+	p.derivedOnce.Do(func() { p.derived = build(p) })
+	return p.derived
 }
 
 // Resource looks up a resource by URL.

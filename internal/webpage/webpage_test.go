@@ -2,6 +2,8 @@ package webpage
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -287,9 +289,13 @@ func TestFullBenchmark(t *testing.T) {
 }
 
 func TestESPNSportsSize(t *testing.T) {
-	page, err := ESPNSports()
+	spec, err := FullSpec(2)
 	if err != nil {
-		t.Fatalf("ESPNSports: %v", err)
+		t.Fatalf("FullSpec: %v", err)
+	}
+	page, err := Generate(spec)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
 	}
 	kb := page.TotalBytes() / 1024
 	// The paper's espn.go.com/sports was 760 KB; stay in that ballpark.
@@ -298,20 +304,59 @@ func TestESPNSportsSize(t *testing.T) {
 	}
 }
 
+// TestNamedPages pins the corpus positions the experiments' named pages
+// occupy.
 func TestNamedPages(t *testing.T) {
-	cnn, err := MCNN()
+	for _, tc := range []struct {
+		spec   func(int) (Spec, error)
+		i      int
+		name   string
+		mobile bool
+	}{
+		{MobileSpec, 0, "m.cnn.com", true},
+		{FullSpec, 1, "www.motors.ebay.com", false},
+		{FullSpec, 2, "espn.go.com/sports", false},
+	} {
+		spec, err := tc.spec(tc.i)
+		if err != nil {
+			t.Fatalf("spec %d: %v", tc.i, err)
+		}
+		if spec.Name != tc.name || spec.Mobile != tc.mobile {
+			t.Fatalf("spec %d = %s mobile=%v, want %s mobile=%v",
+				tc.i, spec.Name, spec.Mobile, tc.name, tc.mobile)
+		}
+	}
+}
+
+// TestDerivedBuildsOnce: concurrent callers share one build of the page's
+// derived value.
+func TestDerivedBuildsOnce(t *testing.T) {
+	spec, err := MobileSpec(0)
 	if err != nil {
-		t.Fatalf("MCNN: %v", err)
+		t.Fatalf("MobileSpec: %v", err)
 	}
-	if cnn.Name != "m.cnn.com" || !cnn.Mobile {
-		t.Fatalf("MCNN = %s mobile=%v", cnn.Name, cnn.Mobile)
-	}
-	ebay, err := MotorsEbay()
+	page, err := Generate(spec)
 	if err != nil {
-		t.Fatalf("MotorsEbay: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
-	if ebay.Name != "www.motors.ebay.com" || ebay.Mobile {
-		t.Fatalf("MotorsEbay = %s mobile=%v", ebay.Name, ebay.Mobile)
+	var builds atomic.Int32
+	build := func(p *Page) any {
+		builds.Add(1)
+		return p.Name
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := page.Derived(build); got != "m.cnn.com" {
+				t.Errorf("Derived = %v", got)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("build ran %d times, want 1", n)
 	}
 }
 
