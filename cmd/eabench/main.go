@@ -93,7 +93,7 @@ func run(args []string) error {
 	traceOut := fs.String("trace", "", "write the merged simulated-time event trace (JSON lines) to this file")
 	metricsOut := fs.String("metrics", "", "write the counters/histograms/ledger snapshot (JSON) to this file")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while experiments run")
-	radio := fs.String("radio", "", "radio profile the simulated phones run: "+strings.Join(rrc.Profiles(), ", ")+" (default umts; experiments that measure the UMTS machine itself — fig1, fig3, table5, timers, ablation — pin it explicitly and are unaffected)")
+	radio := fs.String("radio", "", "radio profile the simulated phones run: "+strings.Join(rrc.Profiles(), ", ")+" (default umts; experiments that measure the paper's UMTS phone — fig1, fig3, table5, fig16, ablation and the timers T1/T2 grid — pin it and are unaffected)")
 
 	fs.BoolVar(&opts.timing, "timing", false, "include live wall-clock measurements (makes output nondeterministic)")
 	fs.IntVar(&opts.fleet.Users, "fleet-users", opts.fleet.Users, "fleet: number of simulated phones")

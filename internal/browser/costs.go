@@ -60,8 +60,9 @@ type CostModel struct {
 	// JSComputeUnit converts a script's compute(n) units into CPU time.
 	JSComputeUnit time.Duration
 
-	// CPUActiveWatts is the extra power drawn while the CPU is busy
-	// (Table 5: a fully running CPU adds ≈0.45 W over the idle baseline).
+	// CPUActiveWatts is the extra power drawn while the CPU is busy. It is a
+	// calibrated input of its own, not Table 5's fully running CPU (which
+	// adds 0.45 W over the idle baseline; see DefaultCostModel).
 	CPUActiveWatts float64
 
 	// ChunkBytes is the incremental parsing granularity: the parser yields

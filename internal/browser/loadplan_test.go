@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"eabrowse/internal/netsim"
 	"eabrowse/internal/rrc"
 	"eabrowse/internal/webpage"
 )
@@ -16,7 +17,7 @@ func TestLoadedPageIsCollected(t *testing.T) {
 	collected := make(chan struct{})
 	func() {
 		page := testPage(t)
-		if _, err := LoadFresh(page, ModeEnergyAware, rrc.DefaultConfig(), nil); err != nil {
+		if _, err := LoadFresh(page, ModeEnergyAware, rrc.DefaultConfig(), netsim.DefaultConfig(), DefaultCostModel(), nil); err != nil {
 			t.Fatalf("LoadFresh: %v", err)
 		}
 		runtime.SetFinalizer(page, func(*webpage.Page) { close(collected) })

@@ -38,21 +38,22 @@ func (e *Engine) Run(page *webpage.Page) (*Result, error) {
 }
 
 // LoadFresh loads page to its final display on a fresh phone: a new clock,
-// the spec's radio, the calibrated link (shaped by sched; nil is the fixed
-// link) and an engine in mode with the default cost model. It serves the
-// packages below experiments that measure a page once per pipeline.
-func LoadFresh(page *webpage.Page, mode Mode, spec rrc.ModelSpec, sched *channel.Schedule, opts ...Option) (*Result, error) {
+// the spec's radio, a link with the given config (shaped by sched; nil is
+// the fixed link) and an engine in mode with the given cost model. It serves
+// the packages below experiments that measure a page once per pipeline.
+func LoadFresh(page *webpage.Page, mode Mode, spec rrc.ModelSpec, link netsim.Config, cost CostModel,
+	sched *channel.Schedule, opts ...Option) (*Result, error) {
 	clock := simtime.NewClock()
 	radio, err := spec.New(clock)
 	if err != nil {
 		return nil, err
 	}
-	link, err := netsim.NewLink(clock, radio, netsim.DefaultConfig())
+	l, err := netsim.NewLink(clock, radio, link)
 	if err != nil {
 		return nil, err
 	}
-	link.SetChannel(sched)
-	engine, err := NewEngine(clock, radio, link, DefaultCostModel(), mode, opts...)
+	l.SetChannel(sched)
+	engine, err := NewEngine(clock, radio, l, cost, mode, opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"eabrowse/internal/channel"
+	"eabrowse/internal/netsim"
 	"eabrowse/internal/rrc"
 )
 
@@ -15,7 +16,7 @@ func TestLoadFreshMatchesRig(t *testing.T) {
 	page := testPage(t)
 	for _, mode := range []Mode{ModeOriginal, ModeEnergyAware} {
 		want := newRig(t, mode).load(t, page)
-		got, err := LoadFresh(page, mode, rrc.DefaultConfig(), nil)
+		got, err := LoadFresh(page, mode, rrc.DefaultConfig(), netsim.DefaultConfig(), DefaultCostModel(), nil)
 		if err != nil {
 			t.Fatalf("%v: LoadFresh: %v", mode, err)
 		}
@@ -37,7 +38,7 @@ func TestRunCapsWedgedLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = LoadFresh(testPage(t), ModeOriginal, rrc.DefaultConfig(), sched)
+	_, err = LoadFresh(testPage(t), ModeOriginal, rrc.DefaultConfig(), netsim.DefaultConfig(), DefaultCostModel(), sched)
 	if err == nil || !strings.Contains(err.Error(), "did not finish within 30m0s") {
 		t.Fatalf("wedged load returned %v, want the 30-minute cap error", err)
 	}

@@ -42,18 +42,18 @@ func Ablations() (*AblationResult, error) {
 		radio rrc.Config
 		opts  []browser.Option
 	}
-	half := rrc.DefaultConfig()
+	half := bed.umts
 	half.T1 = half.T1 / 2
 	half.T2 = half.T2 / 2
 	variants := []variant{
-		{name: "energy-aware (default, guard 2.5s)", mode: browser.ModeEnergyAware, radio: rrc.DefaultConfig()},
+		{name: "energy-aware (default, guard 2.5s)", mode: browser.ModeEnergyAware, radio: bed.umts},
 		{name: "reordering only (no dormancy)", mode: browser.ModeEnergyAware,
-			radio: rrc.DefaultConfig(), opts: []browser.Option{browser.WithoutAutoDormancy()}},
+			radio: bed.umts, opts: []browser.Option{browser.WithoutAutoDormancy()}},
 		{name: "energy-aware, guard 0s", mode: browser.ModeEnergyAware,
-			radio: rrc.DefaultConfig(), opts: []browser.Option{browser.WithDormancyGuard(0)}},
+			radio: bed.umts, opts: []browser.Option{browser.WithDormancyGuard(0)}},
 		{name: "energy-aware, guard 8s", mode: browser.ModeEnergyAware,
-			radio: rrc.DefaultConfig(), opts: []browser.Option{browser.WithDormancyGuard(8 * time.Second)}},
-		{name: "original (default timers)", mode: browser.ModeOriginal, radio: rrc.DefaultConfig()},
+			radio: bed.umts, opts: []browser.Option{browser.WithDormancyGuard(8 * time.Second)}},
+		{name: "original (default timers)", mode: browser.ModeOriginal, radio: bed.umts},
 		{name: "original, halved timers (T1=2s, T2=7.5s)", mode: browser.ModeOriginal, radio: half},
 	}
 

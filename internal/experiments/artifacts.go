@@ -130,7 +130,7 @@ func MotorsEbayPage() (*webpage.Page, error) { return PageByName("www.motors.eba
 // 40-user collection).
 func DefaultTrace() (*trace.Dataset, error) {
 	return artifacts.trace.Get(func() (*trace.Dataset, error) {
-		return trace.Synthesize(trace.DefaultConfig())
+		return trace.Synthesize(bed.trace)
 	})
 }
 
@@ -158,7 +158,7 @@ func DefaultSplit() (train, test []trace.Visit, err error) {
 // quarter of the paper's collection, so the matrix (5 scenarios × up to 7
 // segments × pool loads per radio backend) stays a few seconds per backend.
 func ScenarioTraceConfig() trace.Config {
-	cfg := trace.DefaultConfig()
+	cfg := bed.trace
 	cfg.Users = 12
 	cfg.HoursPerUser = 1
 	cfg.PoolSize = 24
@@ -189,7 +189,7 @@ func scenarioEvaluator(scenario string, spec rrc.ModelSpec) (*policy.Evaluator, 
 			if err != nil {
 				return nil, err
 			}
-			return policy.NewEvaluator(ds, pred, policy.DefaultParams(), spec, sched)
+			return policy.NewEvaluator(ds, pred, bed.params, spec, bed.link, bed.cost, bed.device, sched)
 		})
 }
 
@@ -209,7 +209,7 @@ func TrainedPredictor(withInterest bool) (*predictor.Predictor, error) {
 
 // trainedPredictorConfig is the config TrainedPredictor trains with.
 func trainedPredictorConfig(withInterest bool) predictor.Config {
-	cfg := predictor.DefaultConfig()
+	cfg := bed.predictor
 	cfg.UseInterestThreshold = withInterest
 	return cfg
 }

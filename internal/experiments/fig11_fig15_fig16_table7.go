@@ -9,7 +9,6 @@ import (
 	"eabrowse/internal/capacity"
 	"eabrowse/internal/gbrt"
 	"eabrowse/internal/policy"
-	"eabrowse/internal/rrc"
 	"eabrowse/internal/runner"
 	"eabrowse/internal/webpage"
 )
@@ -104,7 +103,7 @@ func Fig11() (*Fig11Result, error) {
 			return nil, err
 		}
 	}
-	cfg := capacity.DefaultConfig()
+	cfg := bed.capacity
 	var curves [4]Fig11Curve
 	var errs [4][]error
 	for c := range curves {
@@ -225,7 +224,7 @@ func Fig16() (*Fig16Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev, err := policy.NewEvaluator(ds, pred, policy.DefaultParams(), rrc.DefaultConfig(), nil)
+	ev, err := policy.NewEvaluator(ds, pred, bed.params, bed.umts, bed.link, bed.cost, bed.device, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +249,6 @@ type Table7Row struct {
 // 1,000/10,000/20,000 eight-node trees, alongside the Go implementation's
 // real wall time for the same workload.
 func Table7() ([]Table7Row, error) {
-	device := gbrt.DefaultDeviceCost()
 	// A real forest to time: train on a small synthetic problem and re-walk
 	// its trees the requested number of times.
 	xs := [][]float64{{1, 2}, {2, 1}, {3, 4}, {4, 3}, {5, 6}, {6, 5}, {7, 8}, {8, 7}}
@@ -274,8 +272,8 @@ func Table7() ([]Table7Row, error) {
 		}
 		rows = append(rows, Table7Row{
 			Trees:       trees,
-			EnergyJ:     device.PredictionEnergyJ(trees),
-			TimeSeconds: device.PredictionTime(trees).Seconds(),
+			EnergyJ:     bed.device.PredictionEnergyJ(trees),
+			TimeSeconds: bed.device.PredictionTime(trees).Seconds(),
 			GoWallTime:  time.Since(start),
 		})
 	}

@@ -24,7 +24,7 @@ type Fig1Result struct {
 // power sampled every 0.25 s like the Agilent rig.
 func Fig1() (*Fig1Result, error) {
 	clock := simtime.NewClock()
-	radio, err := rrc.NewMachine(clock, rrc.DefaultConfig())
+	radio, err := rrc.NewMachine(clock, bed.umts)
 	if err != nil {
 		return nil, err
 	}
@@ -104,11 +104,11 @@ func Fig3() (*Fig3Result, error) {
 // cost now and the IDLE→DCH re-promotion later.
 func fig3Cycle(intervalS float64, forceIdle bool) (float64, error) {
 	clock := simtime.NewClock()
-	radio, err := rrc.NewMachine(clock, rrc.DefaultConfig())
+	radio, err := rrc.NewMachine(clock, bed.umts)
 	if err != nil {
 		return 0, err
 	}
-	link, err := netsim.NewLink(clock, radio, netsim.DefaultConfig())
+	link, err := netsim.NewLink(clock, radio, bed.link)
 	if err != nil {
 		return 0, err
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"eabrowse/internal/features"
-	"eabrowse/internal/rrc"
 	"eabrowse/internal/stats"
 	"eabrowse/internal/trace"
 )
@@ -118,16 +117,17 @@ type Table5Row struct {
 	PowerW float64
 }
 
-// Table5 returns the per-state power levels of the radio model — these are
-// the paper's measured Table 5 values, which the whole energy model is
-// parameterized by.
+// Table5 returns the per-state power levels of the testbed's UMTS radio and
+// the device's fully running CPU — the paper's measured Table 5 values,
+// which the whole energy model is parameterized by. The CPU row is the
+// 0.6 W Table 7 charges per prediction.
 func Table5() []Table5Row {
-	cfg := rrc.DefaultConfig()
+	cfg := bed.umts
 	return []Table5Row{
 		{State: "IDLE state", PowerW: cfg.PowerIdle},
 		{State: "FACH state", PowerW: cfg.PowerFACH},
 		{State: "DCH state without transmission", PowerW: cfg.PowerDCHIdle},
 		{State: "DCH state with transmission", PowerW: cfg.PowerDCHTx},
-		{State: "Fully running CPU (IDLE state)", PowerW: cfg.PowerIdle + 0.45},
+		{State: "Fully running CPU (IDLE state)", PowerW: bed.device.CPUWatts},
 	}
 }

@@ -171,7 +171,7 @@ func parseRadioMix(mix string) ([]fleetRadio, error) {
 			return nil, fmt.Errorf("fleet: radio mix entry %q is not name:weight", strings.TrimSpace(part))
 		}
 		name = strings.TrimSpace(name)
-		spec, err := rrc.ProfileSpec(name)
+		spec, err := bed.radio(name)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: %w", err)
 		}
@@ -406,7 +406,7 @@ func newFleetRuntime(cfg FleetConfig) (*fleetRuntime, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	tcfg := trace.DefaultConfig()
+	tcfg := bed.trace
 	tcfg.Users = cfg.Users
 	tcfg.HoursPerUser = cfg.HoursPerUser
 	tcfg.Seed = cfg.Seed
@@ -437,8 +437,8 @@ func newFleetRuntime(cfg FleetConfig) (*fleetRuntime, error) {
 		stream:   stream,
 		pool:     stream.Pool(),
 		pred:     pred,
-		params:   policy.DefaultParams(),
-		device:   gbrt.DefaultDeviceCost(),
+		params:   bed.params,
+		device:   bed.device,
 		radios:   radios,
 		mixSeed:  cfg.Seed,
 		sched:    sched,
@@ -612,7 +612,7 @@ func FleetFromShards(cfg FleetConfig, outs []FleetShardResult) (*FleetResult, er
 	// own field. The tasks keep their errors in errs (so Map's is always
 	// nil), taken here in the serial order (original before aware, search
 	// before drop), so every pool size returns the same bytes and error.
-	ccfg := capacity.DefaultConfig()
+	ccfg := bed.capacity
 	var errs [4]error
 	_ = runner.Map(len(errs), func(i int) error {
 		st, d := sides[i%2], &dists[i%2]

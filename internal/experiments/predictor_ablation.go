@@ -93,7 +93,7 @@ func predictorAblation(train, test []trace.Visit, shared bool) (*PredictorAblati
 	// setting for each); then forest size M, leaf budget J and threshold α.
 	var rows []ablationRow
 	add := func(name string, alpha float64, set func(*gbrt.Config)) {
-		cfg := gbrt.DefaultConfig()
+		cfg := bed.predictor.GBRT
 		set(&cfg)
 		rows = append(rows, ablationRow{name, predictor.Config{
 			GBRT: cfg, UseInterestThreshold: alpha > 0, Alpha: alpha,

@@ -48,7 +48,7 @@ func Reorder() (*ReorderResult, error) {
 	}
 	rows, err := runner.Collect(len(ReorderProfiles), func(i int) (ReorderRow, error) {
 		name := ReorderProfiles[i]
-		spec, err := rrc.ProfileSpec(name)
+		spec, err := bed.radio(name)
 		if err != nil {
 			return ReorderRow{}, err
 		}

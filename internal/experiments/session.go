@@ -48,7 +48,7 @@ type Session struct {
 }
 
 // sessionConfig is what SessionOptions configure; New starts from the
-// calibrated defaults.
+// testbed.
 type sessionConfig struct {
 	radio      rrc.ModelSpec
 	link       netsim.Config
@@ -63,30 +63,31 @@ type sessionConfig struct {
 // SessionOption configures one aspect of a session built by New.
 type SessionOption func(*sessionConfig)
 
-// defaultRadioSpec is the process-wide default radio backend, settable once
-// at startup (eabench -radio); nil means UMTS with the paper's parameters.
-var defaultRadioSpec atomic.Value // stores *rrc.ModelSpec
+// defaultRadioProfile names the process-wide default radio backend, settable
+// once at startup (eabench -radio); unset means UMTS.
+var defaultRadioProfile atomic.Value // stores string
 
 // SetDefaultRadioProfile selects the radio backend sessions use when built
 // without an explicit WithRadioModel option. Unknown names
 // fail with the valid-profile list.
 func SetDefaultRadioProfile(name string) error {
-	spec, err := rrc.ProfileSpec(name)
-	if err != nil {
+	if _, err := bed.radio(name); err != nil {
 		return err
 	}
-	defaultRadioSpec.Store(&spec)
+	defaultRadioProfile.Store(name)
 	return nil
 }
 
 // DefaultRadioSpec returns the process-wide default radio backend: the
-// profile selected by SetDefaultRadioProfile, or the paper's UMTS
-// parameters.
+// testbed's spec for the profile selected by SetDefaultRadioProfile, or its
+// UMTS spec.
 func DefaultRadioSpec() rrc.ModelSpec {
-	if v := defaultRadioSpec.Load(); v != nil {
-		return *(v.(*rrc.ModelSpec))
+	name, ok := defaultRadioProfile.Load().(string)
+	if !ok {
+		return bed.umts
 	}
-	return rrc.DefaultConfig()
+	spec, _ := bed.radio(name) // validated by SetDefaultRadioProfile
+	return spec
 }
 
 // WithRadioModel selects the radio backend (and its parameters) for the
@@ -145,7 +146,7 @@ func WithObsRecorder(r *obs.Recorder) SessionOption {
 }
 
 // New builds a fresh phone — virtual clock, radio, link and a browser in the
-// given mode — from the calibrated defaults, adjusted by options:
+// given mode — from the testbed, adjusted by options:
 //
 //	s, err := experiments.New(browser.ModeEnergyAware,
 //	        experiments.WithRadioModel(radio),
@@ -155,10 +156,7 @@ func WithObsRecorder(r *obs.Recorder) SessionOption {
 // Sessions are cheap and single-goroutine; parallel workloads give every
 // goroutine its own.
 func New(mode browser.Mode, opts ...SessionOption) (*Session, error) {
-	cfg := sessionConfig{
-		link: netsim.DefaultConfig(),
-		cost: browser.DefaultCostModel(),
-	}
+	cfg := sessionConfig{link: bed.link, cost: bed.cost}
 	for _, opt := range opts {
 		opt(&cfg)
 	}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"eabrowse/internal/browser"
-	"eabrowse/internal/rrc"
 	"eabrowse/internal/runner"
 )
 
@@ -49,7 +48,7 @@ func TimerSweep() (*TimerSweepResult, error) {
 	}
 	rows, err := runner.Collect(len(grid), func(i int) (TimerSweepRow, error) {
 		t1, t2 := grid[i].t1, grid[i].t2
-		cfg := rrc.DefaultConfig()
+		cfg := bed.umts
 		cfg.T1 = t1
 		cfg.T2 = t2
 		s, err := New(browser.ModeOriginal, WithRadioModel(cfg))

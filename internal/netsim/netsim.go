@@ -141,8 +141,6 @@ type Link struct {
 	lastEnd    time.Duration
 	everMoved  bool
 
-	onAllDrained func()
-
 	faults      *faults.Injector
 	channel     *channel.Schedule
 	maxAttempts int
@@ -280,12 +278,6 @@ func (l *Link) TransmissionWindow() (start, end time.Duration, ok bool) {
 		return 0, 0, false
 	}
 	return l.firstStart, l.lastEnd, true
-}
-
-// SetDrainedHook registers fn to run whenever the link transitions to fully
-// drained (no in-flight and no queued transfers). Pass nil to clear.
-func (l *Link) SetDrainedHook(fn func()) {
-	l.onAllDrained = fn
 }
 
 // Fetch enqueues a download of size bytes tagged with url; done (optional)
@@ -549,9 +541,6 @@ func (l *Link) finish(t *Transfer, overDCH bool, failure error) {
 		done(failure)
 	}
 	l.pump()
-	if !l.busy && l.qHead == len(l.queue) && l.onAllDrained != nil {
-		l.onAllDrained()
-	}
 }
 
 // kbDuration converts a byte count and a KB/s rate into a duration.

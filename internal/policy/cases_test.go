@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"eabrowse/internal/browser"
 	"eabrowse/internal/channel"
 	"eabrowse/internal/gbrt"
+	"eabrowse/internal/netsim"
 	"eabrowse/internal/predictor"
 	"eabrowse/internal/rrc"
 	"eabrowse/internal/trace"
@@ -49,7 +51,8 @@ func caseResults(t *testing.T) []CaseResult {
 		return sharedResults
 	}
 	ds, pred := trainedTrace(t)
-	ev, err := NewEvaluator(ds, pred, DefaultParams(), rrc.DefaultConfig(), nil)
+	ev, err := NewEvaluator(ds, pred, DefaultParams(), rrc.DefaultConfig(), netsim.DefaultConfig(),
+		browser.DefaultCostModel(), gbrt.DefaultDeviceCost(), nil)
 	if err != nil {
 		t.Fatalf("NewEvaluator: %v", err)
 	}
@@ -75,6 +78,7 @@ func byCase(t *testing.T, results []CaseResult, c Case) CaseResult {
 func TestEvaluatorValidation(t *testing.T) {
 	ds, pred := trainedTrace(t)
 	spec := rrc.DefaultConfig()
+	link, cost, device := netsim.DefaultConfig(), browser.DefaultCostModel(), gbrt.DefaultDeviceCost()
 	for _, tc := range []struct {
 		name string
 		ds   *trace.Dataset
@@ -86,7 +90,7 @@ func TestEvaluatorValidation(t *testing.T) {
 		{"nil predictor", ds, nil, spec},
 		{"nil radio spec", ds, pred, nil},
 	} {
-		if _, err := NewEvaluator(tc.ds, tc.pred, DefaultParams(), tc.spec, nil); err == nil {
+		if _, err := NewEvaluator(tc.ds, tc.pred, DefaultParams(), tc.spec, link, cost, device, nil); err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
 	}
@@ -103,7 +107,7 @@ func TestEvaluatorValidation(t *testing.T) {
 	unknown.Page = "no-such-page"
 	small := &trace.Dataset{Pool: ds.Pool[:1], Visits: []trace.Visit{known, unknown}}
 	for _, sched := range []*channel.Schedule{nil, fading} {
-		ev, err := NewEvaluator(small, pred, DefaultParams(), spec, sched)
+		ev, err := NewEvaluator(small, pred, DefaultParams(), spec, link, cost, device, sched)
 		if err != nil {
 			t.Fatalf("NewEvaluator(sched %v): %v", sched != nil, err)
 		}

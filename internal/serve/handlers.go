@@ -330,9 +330,7 @@ func (s *Server) simulateCore(page *webpage.Page, mode browser.Mode, radio strin
 	var pool *experiments.SessionPool
 	if sched == nil {
 		var err error
-		if pool, err = s.pool(mode, radio); err != nil {
-			return simulateResponse{}, err
-		}
+		pool = s.pools[poolKey{mode, radio}]
 		if sess, err = pool.Get(); err != nil {
 			return simulateResponse{}, err
 		}

@@ -152,12 +152,10 @@ type Server struct {
 	radioNames []string
 
 	// Per-request simulation machinery: pooled zero-alloc sessions per
-	// (browser mode, radio profile). The map is copy-on-write — readers
-	// follow the atomic pointer lock-free, the mutex only serializes the
-	// (rare) writers. Pages come from experiments.PageByName, the process's
-	// one copy of each benchmark page.
-	poolsMu sync.Mutex
-	pools   atomic.Pointer[map[poolKey]*experiments.SessionPool]
+	// (browser mode, radio profile), one pool for every pair, built by New
+	// and read-only after. Pages come from experiments.PageByName, the
+	// process's one copy of each benchmark page.
+	pools map[poolKey]*experiments.SessionPool
 }
 
 // poolKey identifies one session pool: pooled sessions are homogeneous in
@@ -165,35 +163,6 @@ type Server struct {
 type poolKey struct {
 	mode  browser.Mode
 	radio string
-}
-
-// pool returns the session pool for (mode, radio), building non-UMTS pools
-// lazily on first use. The radio name must already be validated. The read
-// side is one atomic load; a miss takes the writer lock, re-checks, and
-// publishes a copied map so concurrent readers never see a partial write.
-func (s *Server) pool(mode browser.Mode, radio string) (*experiments.SessionPool, error) {
-	key := poolKey{mode: mode, radio: radio}
-	if p, ok := (*s.pools.Load())[key]; ok {
-		return p, nil
-	}
-	s.poolsMu.Lock()
-	defer s.poolsMu.Unlock()
-	cur := *s.pools.Load()
-	if p, ok := cur[key]; ok {
-		return p, nil
-	}
-	spec, err := rrc.ProfileSpec(radio)
-	if err != nil {
-		return nil, err
-	}
-	p := experiments.NewSessionPool(mode, experiments.WithRadioModel(spec))
-	next := make(map[poolKey]*experiments.SessionPool, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[key] = p
-	s.pools.Store(&next)
-	return p, nil
 }
 
 // New builds a server; no I/O happens until Start.
@@ -210,13 +179,17 @@ func New(cfg Config) (*Server, error) {
 		radioNames: rrc.Profiles(),
 	}
 	s.scratch = s.newScratchPool()
-	pools := map[poolKey]*experiments.SessionPool{
-		{browser.ModeOriginal, "umts"}: experiments.NewSessionPool(
-			browser.ModeOriginal, experiments.WithRadioModel(rrc.DefaultConfig())),
-		{browser.ModeEnergyAware, "umts"}: experiments.NewSessionPool(
-			browser.ModeEnergyAware, experiments.WithRadioModel(rrc.DefaultConfig())),
+	// A pool holds no session until its first Get.
+	s.pools = make(map[poolKey]*experiments.SessionPool, 2*len(s.radioNames))
+	for _, radio := range s.radioNames {
+		spec, err := rrc.ProfileSpec(radio)
+		if err != nil {
+			return nil, err
+		}
+		for _, mode := range []browser.Mode{browser.ModeOriginal, browser.ModeEnergyAware} {
+			s.pools[poolKey{mode, radio}] = experiments.NewSessionPool(mode, experiments.WithRadioModel(spec))
+		}
 	}
-	s.pools.Store(&pools)
 	s.httpSrv = &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,

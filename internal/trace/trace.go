@@ -30,6 +30,7 @@ import (
 
 	"eabrowse/internal/browser"
 	"eabrowse/internal/features"
+	"eabrowse/internal/netsim"
 	"eabrowse/internal/rrc"
 	"eabrowse/internal/runner"
 	"eabrowse/internal/webpage"
@@ -212,9 +213,13 @@ func poolSpec(i int, mobile bool, rng *rand.Rand) webpage.Spec {
 }
 
 // measureFeatures loads a page once on a fresh simulated phone (energy-aware
-// pipeline, as the prototype would) and extracts the Table 1 vector.
+// pipeline, as the prototype would) and extracts the Table 1 vector. It is
+// the one page load left on the package defaults: the features are timings
+// measured on the paper's collection phone, which is part of the trace, not
+// of the physics an experiment runs under.
 func measureFeatures(page *webpage.Page) (features.Vector, error) {
-	res, err := browser.LoadFresh(page, browser.ModeEnergyAware, rrc.DefaultConfig(), nil)
+	res, err := browser.LoadFresh(page, browser.ModeEnergyAware, rrc.DefaultConfig(),
+		netsim.DefaultConfig(), browser.DefaultCostModel(), nil)
 	if err != nil {
 		return features.Vector{}, err
 	}
