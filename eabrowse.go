@@ -260,7 +260,7 @@ func DefaultNRConfig() rrc.ChainSpec { return rrc.DefaultNRConfig() }
 // session-based experiments follow it — that is how the evaluation re-runs
 // on another radio generation — while the experiments that measure the
 // paper's UMTS phone (Fig1, Fig3, Table5, Fig16, the ablations and the timer
-// sweep's T1/T2 grid) pin the calibrated UMTS radio and never move.
+// sweep) pin the calibrated UMTS radio and never move.
 func SetDefaultRadioProfile(name string) error { return experiments.SetDefaultRadioProfile(name) }
 
 // DefaultLinkConfig returns the calibrated link (760 KB in ≈8 s over DCH).

@@ -127,15 +127,12 @@ func TestFig1Shape(t *testing.T) {
 	}
 }
 
-// TestFig3Crossover: the intuitive approach must only win past ≈9 s
-// (the paper's central motivation measurement).
+// TestFig3Crossover: the intuitive approach loses on short intervals and
+// wins on long ones. TestPaperClaims holds the crossover itself to its band.
 func TestFig3Crossover(t *testing.T) {
 	res, err := Fig3()
 	if err != nil {
 		t.Fatalf("Fig3: %v", err)
-	}
-	if res.CrossoverS < 8 || res.CrossoverS > 10 {
-		t.Fatalf("crossover = %v s, want ≈9", res.CrossoverS)
 	}
 	// Savings must be monotone-ish: negative early, positive late.
 	for _, p := range res.Points {
@@ -148,19 +145,13 @@ func TestFig3Crossover(t *testing.T) {
 	}
 }
 
-// TestFig4Shape: the browser must take several times longer than the raw
-// socket download for the same bytes (paper: 47 s vs 8 s).
+// TestFig4Shape: the browser spreads its transfers over the load.
+// TestPaperClaims holds the socket download and the browser's slowdown
+// against it to their bands.
 func TestFig4Shape(t *testing.T) {
 	res, err := Fig4()
 	if err != nil {
 		t.Fatalf("Fig4: %v", err)
-	}
-	if res.BulkTotalS < 7 || res.BulkTotalS > 13 {
-		t.Fatalf("socket download = %.1f s, want ≈8-10 (760 KB at ≈96 KB/s + promotion)", res.BulkTotalS)
-	}
-	if res.BrowserTotalS < 3*res.BulkTotalS {
-		t.Fatalf("browser (%.1f s) not ≥3x socket (%.1f s): transfers not spread out",
-			res.BrowserTotalS, res.BulkTotalS)
 	}
 	// Browser traffic must be spread: no 2-second window may carry more
 	// than half the page.
@@ -171,45 +162,6 @@ func TestFig4Shape(t *testing.T) {
 		if window > half {
 			t.Fatalf("browser moved %.0f KB in one 2 s window (page %d KB): not spread",
 				window, res.TotalKB)
-		}
-	}
-}
-
-// TestFig8Bands: the headline Fig. 8 savings must land near the paper's.
-func TestFig8Bands(t *testing.T) {
-	res, err := Fig8()
-	if err != nil {
-		t.Fatalf("Fig8: %v", err)
-	}
-	check := func(name string, got, lo, hi float64) {
-		t.Helper()
-		if got < lo || got > hi {
-			t.Errorf("%s = %.1f%%, want in [%v, %v]", name, got, lo, hi)
-		}
-	}
-	// Paper: mobile -15%, full -27% transmission; -2.5% / -17% total.
-	check("mobile transmission saving", res.Mobile.TransmissionSavingPct(), 5, 25)
-	check("full transmission saving", res.Full.TransmissionSavingPct(), 20, 42)
-	check("full total saving", res.Full.TotalSavingPct(), 10, 28)
-	if res.Mobile.TotalSavingPct() < 0 {
-		t.Errorf("mobile total saving = %.1f%%, want non-negative", res.Mobile.TotalSavingPct())
-	}
-	// Named pages (paper: m.cnn -15%, ebay -31%).
-	check("m.cnn transmission saving", res.MCNN.TransmissionSavingPct(), 5, 25)
-	check("motors.ebay transmission saving", res.MotorsEbay.TransmissionSavingPct(), 20, 45)
-}
-
-// TestFig10Bands: the >30% energy-saving headline.
-func TestFig10Bands(t *testing.T) {
-	res, err := Fig10()
-	if err != nil {
-		t.Fatalf("Fig10: %v", err)
-	}
-	for name, c := range map[string]*BenchComparison{
-		"mobile": res.Mobile, "full": res.Full, "m.cnn": res.MCNN, "espn": res.ESPN,
-	} {
-		if s := c.EnergySavingPct(); s < 25 || s > 50 {
-			t.Errorf("%s energy saving = %.1f%%, want ≈30-45%%", name, s)
 		}
 	}
 }
@@ -239,45 +191,6 @@ func TestFig9Shape(t *testing.T) {
 	awareLast := res.Aware[len(res.Aware)-1]
 	if awareLast.Watts > cfg.PowerIdle+0.01 {
 		t.Fatalf("aware trace ends at %.2f W, want idle %.2f", awareLast.Watts, cfg.PowerIdle)
-	}
-}
-
-// TestFig12Bands: display-time gains on espn.
-func TestFig12Bands(t *testing.T) {
-	res, err := Fig12()
-	if err != nil {
-		t.Fatalf("Fig12: %v", err)
-	}
-	if res.FirstDisplayGainS < 2 {
-		t.Errorf("first display gain = %.1f s, want several seconds (paper: 10.6)", res.FirstDisplayGainS)
-	}
-	if res.FinalDisplayGainS < 2 {
-		t.Errorf("final display gain = %.1f s, want several seconds (paper: 5.9)", res.FinalDisplayGainS)
-	}
-}
-
-// TestFig14Bands: first-display saving on the full benchmark ≈45.5%.
-func TestFig14Bands(t *testing.T) {
-	res, err := Fig14()
-	if err != nil {
-		t.Fatalf("Fig14: %v", err)
-	}
-	if s := res.Full.FirstDisplaySavingPct(); s < 30 || s > 60 {
-		t.Errorf("full first-display saving = %.1f%%, want ≈45.5%%", s)
-	}
-	if res.Full.Aware.FirstDisplayS >= res.Full.Original.FirstDisplayS {
-		t.Error("energy-aware first display not earlier on full pages")
-	}
-}
-
-// TestTable4Band: no notable single-feature correlation.
-func TestTable4Band(t *testing.T) {
-	res, err := Table4()
-	if err != nil {
-		t.Fatalf("Table4: %v", err)
-	}
-	if res.MaxAbs > 0.2 {
-		t.Fatalf("max |r| = %.3f, want < 0.2 (paper: ≤ 0.067)", res.MaxAbs)
 	}
 }
 

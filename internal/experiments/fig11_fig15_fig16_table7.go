@@ -77,8 +77,8 @@ func fig11Order() []fig11Task {
 
 // Fig11 reproduces Fig. 11: the M/G/200 Erlang-loss simulation fed with the
 // measured per-page data-transmission times of each pipeline. The paper
-// reports 14.3% more users on the mobile benchmark and 19.6% on the full
-// benchmark at equal dropping probability.
+// reports more users on both benchmarks at equal dropping probability
+// (claims ClaimFig11Mobile and ClaimFig11Full).
 //
 // The four curves' nine sweep points and capacity searches are 40
 // independent simulations, each seeded from the same config and reading only
@@ -166,7 +166,7 @@ type Fig15Result struct {
 	WithoutTd float64
 	WithTp    float64
 	WithTd    float64
-	// Gains are the with-minus-without improvements (paper: ≥ 10 points).
+	// Gains are the with-minus-without improvements (claim ClaimFig15Gain).
 	GainTp     float64
 	GainTd     float64
 	TestVisits int

@@ -66,8 +66,8 @@ type Fig3Result struct {
 
 // Fig3 reproduces Fig. 3 (Section 3.1): send 1 KB, wait the interval, send
 // 1 KB again — once following the timers, once forcing IDLE after each
-// transfer — and compare per-cycle energy. The paper measured the crossover
-// at 9 seconds.
+// transfer — and compare per-cycle energy. The paper's crossover is claim
+// ClaimFig3Crossover.
 func Fig3() (*Fig3Result, error) {
 	intervals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 16, 18, 20, 22, 24}
 	res := &Fig3Result{}
@@ -160,7 +160,7 @@ type Fig4Result struct {
 
 // Fig4 reproduces Fig. 4: the original browser opening the espn-like page
 // spreads its transfers across the whole load, while a single socket
-// download of the same bytes finishes in ≈8 s.
+// download of the same bytes finishes several times sooner.
 func Fig4() (*Fig4Result, error) {
 	page, err := ESPNPage()
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 type Fig7Result struct {
 	Visits int
 	// Under2Pct, Under9Pct, Under20Pct mirror the paper's reading of Fig. 7
-	// (30%, 53% and 68% respectively).
+	// (claims ClaimFig7Under2, ClaimFig7Under9 and ClaimFig7Under20).
 	Under2Pct  float64
 	Under9Pct  float64
 	Under20Pct float64
@@ -66,7 +66,7 @@ type Table4Result struct {
 	Spearman [features.Num]float64
 	Names    [features.Num]string
 	// MaxAbs is the largest Pearson magnitude — the paper's point is that
-	// none is notable (all ≤ 0.067 in their data).
+	// none is notable (claim ClaimTable4MaxR).
 	MaxAbs float64
 }
 

@@ -76,8 +76,8 @@ type Fig12Result struct {
 }
 
 // Fig12 reproduces the Fig. 12/13 timings: the energy-aware simplified
-// intermediate display appears much earlier (paper: 7 s vs. 17.6 s) and the
-// final display somewhat earlier (28.6 s vs. 34.5 s).
+// intermediate display appears much earlier and the final display somewhat
+// earlier (the paper's times are the ClaimFig12* claims).
 func Fig12() (*Fig12Result, error) {
 	page, err := ESPNPage()
 	if err != nil {
@@ -115,9 +115,10 @@ type Fig14Result struct {
 
 // Fig14 reproduces Fig. 14: first (intermediate) and final display times
 // averaged over the mobile and full benchmarks. The paper reports the
-// energy-aware approach cutting the full benchmark's first display by 45.5%
-// and its final display by 16.8%; on mobile pages it draws only the final
-// display, roughly when the original draws its intermediate one.
+// energy-aware approach cutting the full benchmark's first and final display
+// times (claims ClaimFig14FullFirst and ClaimFig14FullFinal); on mobile pages
+// it draws only the final display, roughly when the original draws its
+// intermediate one.
 func Fig14() (*Fig14Result, error) {
 	mobile, err := MobilePages()
 	if err != nil {

@@ -14,9 +14,10 @@ import (
 	"eabrowse/internal/rrc"
 )
 
-// update rewrites the committed golden files instead of comparing against
-// them: go test ./internal/experiments -run TestGoldenTrace -update
-var update = flag.Bool("update", false, "rewrite golden trace files")
+// update rewrites the committed golden files, and EXPERIMENTS.md's claims
+// table, instead of comparing against them:
+// go test ./internal/experiments -run TestGoldenTrace -update
+var update = flag.Bool("update", false, "rewrite golden files and EXPERIMENTS.md's claims table")
 
 const goldenTracePath = "testdata/golden_trace.jsonl"
 

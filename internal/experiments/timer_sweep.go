@@ -26,7 +26,7 @@ type TimerSweepRow struct {
 type TimerSweepResult struct {
 	Rows []TimerSweepRow
 	// EnergyAwareJ is the reference: the energy-aware pipeline with default
-	// timers on the same workload.
+	// timers on the same workload and the same UMTS radio as the grid.
 	EnergyAwareJ float64
 }
 
@@ -76,7 +76,7 @@ func TimerSweep() (*TimerSweepResult, error) {
 	}
 	res := &TimerSweepResult{Rows: rows}
 
-	aware, err := LoadPage(page, browser.ModeEnergyAware, reading)
+	aware, err := LoadPage(page, browser.ModeEnergyAware, reading, WithRadioModel(bed.umts))
 	if err != nil {
 		return nil, err
 	}

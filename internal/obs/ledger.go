@@ -137,17 +137,13 @@ func (l *Ledger) Phases() []PhaseEnergy {
 			EndNS:         int64(b.at),
 			RadioByStateJ: make(map[string]float64),
 			CPUJ:          Round6(b.cpuJ - a.cpuJ),
+			TotalJ:        Round6(deltaJ(a, b, order)),
 		}
-		total := b.cpuJ - a.cpuJ
 		for _, st := range order {
-			d := b.radioJ[st] - a.radioJ[st]
-			if d == 0 {
-				continue
+			if d := b.radioJ[st] - a.radioJ[st]; d != 0 {
+				pe.RadioByStateJ[l.names[st]] = Round6(d)
 			}
-			pe.RadioByStateJ[l.names[st]] = Round6(d)
-			total += d
 		}
-		pe.TotalJ = Round6(total)
 		out = append(out, pe)
 	}
 	return out
@@ -160,10 +156,15 @@ func (l *Ledger) TotalJ() float64 {
 	if l == nil || len(l.marks) < 2 {
 		return 0
 	}
-	first, last := l.marks[0], l.marks[len(l.marks)-1]
-	total := last.cpuJ - first.cpuJ
-	for _, st := range l.names.sortedIdx() {
-		total += last.radioJ[st] - first.radioJ[st]
+	return deltaJ(l.marks[0], l.marks[len(l.marks)-1], l.names.sortedIdx())
+}
+
+// deltaJ is the exact radio+CPU energy spent between marks a and b: the CPU
+// delta first, then each state's radio delta in order.
+func deltaJ(a, b ledgerMark, order []int) float64 {
+	total := b.cpuJ - a.cpuJ
+	for _, st := range order {
+		total += b.radioJ[st] - a.radioJ[st]
 	}
 	return total
 }
@@ -184,11 +185,15 @@ func (l *Ledger) EndNS() int64 {
 	return int64(l.marks[len(l.marks)-1].at)
 }
 
-// PhaseTotalJ returns the rounded total of the named phase (0 if absent).
+// PhaseTotalJ returns the exact (unrounded) total of the first phase named
+// phase, summed in the order Phases() sums it (0 if absent or still open).
 func (l *Ledger) PhaseTotalJ(phase string) float64 {
-	for _, p := range l.Phases() {
-		if p.Phase == phase {
-			return p.TotalJ
+	if l == nil {
+		return 0
+	}
+	for i := 0; i+1 < len(l.marks); i++ {
+		if l.marks[i].phase == phase {
+			return deltaJ(l.marks[i], l.marks[i+1], l.names.sortedIdx())
 		}
 	}
 	return 0

@@ -2,7 +2,7 @@
 // testbed: a typed event stream stamped with simulated time, a per-state /
 // per-phase energy ledger, and counters and histograms snapshotable as JSON.
 //
-// The paper's headline numbers (>30 % energy saving, 17 % faster loads) rest
+// The paper's headline numbers (its energy saving and faster loads) rest
 // on per-RRC-state energy accounting and on the exact ordering of fetch,
 // compute and dormancy events. This package makes both visible without
 // changing them:

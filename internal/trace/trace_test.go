@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"eabrowse/internal/features"
-	"eabrowse/internal/stats"
 )
 
 // sharedDataset synthesizes the default trace once for the whole package
@@ -88,58 +87,6 @@ func TestPoolPagesHaveMeasuredFeatures(t *testing.T) {
 		}
 		if pp.Features[features.TransmissionTime] <= 0 {
 			t.Fatalf("%s: no transmission time measured", pp.Name)
-		}
-	}
-}
-
-// TestFig7CDFShape asserts the paper's landmark quantiles within tolerance:
-// 30% under 2 s, 53% under 9 s, 68% under 20 s (Fig. 7).
-func TestFig7CDFShape(t *testing.T) {
-	ds := dataset(t)
-	reads := make([]float64, 0, len(ds.Visits))
-	for _, v := range ds.Visits {
-		reads = append(reads, v.ReadingSeconds)
-	}
-	cdf, err := stats.NewCDF(reads)
-	if err != nil {
-		t.Fatalf("NewCDF: %v", err)
-	}
-	checks := []struct {
-		at   float64
-		want float64
-		tol  float64
-	}{
-		{2, 0.30, 0.07},
-		{9, 0.53, 0.10},
-		{20, 0.68, 0.07},
-	}
-	for _, c := range checks {
-		got := cdf.At(c.at)
-		if math.Abs(got-c.want) > c.tol {
-			t.Errorf("P(reading < %.0fs) = %.2f, want %.2f ± %.2f", c.at, got, c.want, c.tol)
-		}
-	}
-}
-
-// TestTable4NoNotableCorrelation asserts reading time has no strong linear
-// relationship with any single feature (the paper's Table 4 point).
-func TestTable4NoNotableCorrelation(t *testing.T) {
-	ds := dataset(t)
-	reads := make([]float64, 0, len(ds.Visits))
-	for _, v := range ds.Visits {
-		reads = append(reads, v.ReadingSeconds)
-	}
-	for f := 0; f < features.Num; f++ {
-		xs := make([]float64, 0, len(ds.Visits))
-		for _, v := range ds.Visits {
-			xs = append(xs, v.Features[f])
-		}
-		r, err := stats.Pearson(xs, reads)
-		if err != nil {
-			t.Fatalf("Pearson(%s): %v", features.Names[f], err)
-		}
-		if math.Abs(r) > 0.2 {
-			t.Errorf("|corr(%s, reading)| = %.3f, want < 0.2", features.Names[f], r)
 		}
 	}
 }
