@@ -59,6 +59,13 @@ const (
 // Paper returns the value the paper reports for the claim.
 func (id ClaimID) Paper() float64 { return claims[id].paper }
 
+// InBand reports whether a measured value lies in the band the reproduction
+// is held to. A row held to no band accepts every value.
+func (id ClaimID) InBand(v float64) bool { return claims[id].band.holds(v) }
+
+// String returns the claim's stable id, such as "fig7.under-2s".
+func (id ClaimID) String() string { return claims[id].id }
+
 // claim is one row of the table: a stable id, the paper's value in unit, the
 // band the reproduction is held to, and a short label.
 type claim struct {
@@ -80,6 +87,8 @@ type band struct {
 func between(lo, hi float64) band { return band{lo, hi, true} }
 func atLeast(lo float64) band     { return band{lo, math.Inf(1), true} }
 func atMost(hi float64) band      { return band{math.Inf(-1), hi, true} }
+
+func (b band) holds(v float64) bool { return !b.held || (v >= b.lo && v <= b.hi) }
 
 // claims is the table. Savings are positive percentages of the original
 // pipeline's value (the paper writes Fig. 8's "−15%" as a 15% saving).

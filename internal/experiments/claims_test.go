@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"eabrowse/internal/policy"
@@ -28,33 +30,54 @@ type claimRun struct {
 	table7 []Table7Row
 }
 
-func runClaimExperiments(t *testing.T) *claimRun {
+// claimSteps runs each experiment a claim row is measured on.
+var claimSteps = []struct {
+	name string
+	run  func(r *claimRun) error
+}{
+	{"Fig3", func(r *claimRun) (err error) { r.fig3, err = Fig3(); return }},
+	{"Fig4", func(r *claimRun) (err error) { r.fig4, err = Fig4(); return }},
+	{"Table4", func(r *claimRun) (err error) { r.table4, err = Table4(); return }},
+	{"Fig7", func(r *claimRun) (err error) { r.fig7, err = Fig7(); return }},
+	{"Fig8", func(r *claimRun) (err error) { r.fig8, err = Fig8(); return }},
+	{"Fig9", func(r *claimRun) (err error) { r.fig9, err = Fig9(); return }},
+	{"Fig10", func(r *claimRun) (err error) { r.fig10, err = Fig10(); return }},
+	{"Fig11", func(r *claimRun) (err error) { r.fig11, err = Fig11(); return }},
+	{"Fig12", func(r *claimRun) (err error) { r.fig12, err = Fig12(); return }},
+	{"Fig14", func(r *claimRun) (err error) { r.fig14, err = Fig14(); return }},
+	{"Fig15", func(r *claimRun) (err error) { r.fig15, err = Fig15(); return }},
+	{"Fig16", func(r *claimRun) (err error) { r.fig16, err = Fig16(); return }},
+	{"Table7", func(r *claimRun) (err error) { r.table7, err = Table7(); return }},
+}
+
+// sharedClaimRun keeps each experiment's result for the whole test binary,
+// so TestPaperClaims and the per-figure band tests run it once between them.
+var sharedClaimRun struct {
+	sync.Mutex
+	claimRun
+	done map[string]bool
+}
+
+// claimResults runs the named experiments (every one when names is empty)
+// that have not run yet, and returns the shared results.
+func claimResults(t *testing.T, names ...string) *claimRun {
 	t.Helper()
-	var r claimRun
-	var err error
-	for _, step := range []struct {
-		name string
-		run  func() error
-	}{
-		{"Fig3", func() error { r.fig3, err = Fig3(); return err }},
-		{"Fig4", func() error { r.fig4, err = Fig4(); return err }},
-		{"Table4", func() error { r.table4, err = Table4(); return err }},
-		{"Fig7", func() error { r.fig7, err = Fig7(); return err }},
-		{"Fig8", func() error { r.fig8, err = Fig8(); return err }},
-		{"Fig9", func() error { r.fig9, err = Fig9(); return err }},
-		{"Fig10", func() error { r.fig10, err = Fig10(); return err }},
-		{"Fig11", func() error { r.fig11, err = Fig11(); return err }},
-		{"Fig12", func() error { r.fig12, err = Fig12(); return err }},
-		{"Fig14", func() error { r.fig14, err = Fig14(); return err }},
-		{"Fig15", func() error { r.fig15, err = Fig15(); return err }},
-		{"Fig16", func() error { r.fig16, err = Fig16(); return err }},
-		{"Table7", func() error { r.table7, err = Table7(); return err }},
-	} {
-		if err := step.run(); err != nil {
+	s := &sharedClaimRun
+	s.Lock()
+	defer s.Unlock()
+	if s.done == nil {
+		s.done = make(map[string]bool)
+	}
+	for _, step := range claimSteps {
+		if s.done[step.name] || (len(names) > 0 && !slices.Contains(names, step.name)) {
+			continue
+		}
+		if err := step.run(&s.claimRun); err != nil {
 			t.Fatalf("%s: %v", step.name, err)
 		}
+		s.done[step.name] = true
 	}
-	return &r
+	return &s.claimRun
 }
 
 func (r *claimRun) fig3At(intervalS float64) float64 {
@@ -157,7 +180,7 @@ func TestPaperClaims(t *testing.T) {
 	if raceEnabled {
 		t.Skip("runs every paper experiment; too slow under the race detector (CI runs it without)")
 	}
-	r := runClaimExperiments(t)
+	r := claimResults(t)
 	var b strings.Builder
 	b.WriteString("| Id | Claim | Paper | Measured | Band | Verdict |\n|---|---|---|---|---|---|\n")
 	for id := ClaimID(0); id < numClaims; id++ {
@@ -166,13 +189,7 @@ func TestPaperClaims(t *testing.T) {
 			t.Errorf("claim %s has no measure", c.id)
 			continue
 		}
-		got := m.of(r)
-		inBand := c.band.holds(got)
-		t.Run(c.id, func(t *testing.T) {
-			if !inBand {
-				t.Errorf("%s = %v, outside the band %s (paper: %v)", c.label, got, c.band.text(c.unit), c.paper)
-			}
-		})
+		got, inBand := checkClaim(t, r, id)
 		verdict := "not held to a band"
 		switch {
 		case c.band.held && inBand:
@@ -188,7 +205,62 @@ func TestPaperClaims(t *testing.T) {
 	checkClaimsBlock(t, b.String())
 }
 
-func (b band) holds(v float64) bool { return !b.held || (v >= b.lo && v <= b.hi) }
+// checkClaim measures one claim on r and holds it to its band in a subtest
+// named after the claim's id.
+func checkClaim(t *testing.T, r *claimRun, id ClaimID) (got float64, inBand bool) {
+	t.Helper()
+	c := claims[id]
+	got = claimMeasures[id].of(r)
+	inBand = id.InBand(got)
+	t.Run(c.id, func(t *testing.T) {
+		if !inBand {
+			t.Errorf("%s = %v, outside the band %s (paper: %v)", c.label, got, c.band.text(c.unit), c.paper)
+		}
+	})
+	return got, inBand
+}
+
+// checkFigureClaims runs one experiment and holds the named claims on it to
+// their bands.
+func checkFigureClaims(t *testing.T, experiment string, ids ...ClaimID) *claimRun {
+	t.Helper()
+	r := claimResults(t, experiment)
+	for _, id := range ids {
+		checkClaim(t, r, id)
+	}
+	return r
+}
+
+// TestFig8Bands: Fig. 8's transmission- and loading-time savings.
+func TestFig8Bands(t *testing.T) {
+	checkFigureClaims(t, "Fig8", ClaimFig8MobileTrans, ClaimFig8MobileTotal, ClaimFig8FullTrans,
+		ClaimFig8FullTotal, ClaimFig8MCNNTrans, ClaimFig8MCNNTotal, ClaimFig8EbayTrans)
+}
+
+// TestFig10Bands: the energy-saving headline on each benchmark.
+func TestFig10Bands(t *testing.T) {
+	checkFigureClaims(t, "Fig10", ClaimFig10Mobile, ClaimFig10Full, ClaimFig10MCNN, ClaimFig10ESPN,
+		ClaimFig10Headline)
+}
+
+// TestFig12Bands: display-time gains on espn.
+func TestFig12Bands(t *testing.T) {
+	checkFigureClaims(t, "Fig12", ClaimFig12FirstOrig, ClaimFig12FirstAware, ClaimFig12FirstGain,
+		ClaimFig12FinalOrig, ClaimFig12FinalAware, ClaimFig12FinalGain)
+}
+
+// TestFig14Bands: display-time savings on the full benchmark.
+func TestFig14Bands(t *testing.T) {
+	r := checkFigureClaims(t, "Fig14", ClaimFig14FullFirst, ClaimFig14FullFinal)
+	if r.fig14.Full.Aware.FirstDisplayS >= r.fig14.Full.Original.FirstDisplayS {
+		t.Error("energy-aware first display not earlier on full pages")
+	}
+}
+
+// TestTable4Band: no notable single-feature correlation with reading time.
+func TestTable4Band(t *testing.T) {
+	checkFigureClaims(t, "Table4", ClaimTable4MaxR)
+}
 
 // text renders the band for the table: "8 to 10 s", "≥ 3×", "≤ 0.2", or "—"
 // for a row held to no band.
