@@ -24,9 +24,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"os/exec"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"text/tabwriter"
@@ -58,13 +56,6 @@ type benchOptions struct {
 	// Go column). Off by default so output is deterministic run to run.
 	timing bool
 	fleet  experiments.FleetConfig
-	// fleetProcs > 1 splits the fleet's shard range across that many worker
-	// processes (re-execs of this binary with -fleet-worker). radio and
-	// parallel echo their flags so the coordinator can rebuild a worker's
-	// argument list exactly.
-	fleetProcs int
-	radio      string
-	parallel   int
 }
 
 func main() {
@@ -102,8 +93,6 @@ func run(args []string) error {
 	fs.StringVar(&opts.fleet.RadioMix, "fleet-radio-mix", "", "fleet: mixed-RAN population as name:weight pairs, e.g. \"umts:0.6,lte:0.4\" (default: the -radio profile fleet-wide)")
 	fs.StringVar(&opts.fleet.Channel, "fleet-channel", "", "fleet: channel scenario every phone browses through: "+strings.Join(channel.Scenarios(), ", ")+" (default: fixed ideal link)")
 	fs.StringVar(&opts.fleet.Policy, "fleet-policy", "", "fleet: energy-aware release rule, static or adaptive (default static)")
-	fs.IntVar(&opts.fleetProcs, "fleet-procs", 1, "fleet: worker processes the shard range is split across (results are byte-identical at any setting)")
-	fleetWorker := fs.String("fleet-worker", "", "internal: compute fleet shards lo:hi and write the binary shard stream to stdout")
 
 	// Fault-injection profile for the chaos experiment. Loss is the swept
 	// variable (0 up to -fault-loss); the other rates form the constant
@@ -123,23 +112,6 @@ func run(args []string) error {
 		}
 	}
 	runner.SetWorkers(*parallel)
-	opts.radio = *radio
-	opts.parallel = *parallel
-
-	if *fleetWorker != "" {
-		// Fleet worker mode: compute the assigned shard range and stream the
-		// accumulators to stdout. Nothing else may write to stdout here — the
-		// coordinator parses it as the binary shard protocol.
-		lo, hi, err := parseShardRange(*fleetWorker)
-		if err != nil {
-			return err
-		}
-		outs, err := experiments.RunFleetShards(opts.fleet, lo, hi)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteFleetShards(os.Stdout, outs)
-	}
 
 	// Tracing and metrics share one process-wide collector; experiments
 	// register their sessions under deterministic keys and the merged output
@@ -766,49 +738,6 @@ func runScenarios(p *printer) error {
 	return nil
 }
 
-// parseShardRange parses a -fleet-worker "lo:hi" shard range.
-func parseShardRange(s string) (lo, hi int, err error) {
-	c := strings.IndexByte(s, ':')
-	if c < 0 {
-		return 0, 0, fmt.Errorf("fleet-worker: range %q is not lo:hi", s)
-	}
-	if lo, err = strconv.Atoi(s[:c]); err != nil {
-		return 0, 0, fmt.Errorf("fleet-worker: range %q: %w", s, err)
-	}
-	if hi, err = strconv.Atoi(s[c+1:]); err != nil {
-		return 0, 0, fmt.Errorf("fleet-worker: range %q: %w", s, err)
-	}
-	return lo, hi, nil
-}
-
-// fleetWorkerArgs rebuilds the argument list a fleet worker process needs to
-// replay shards [lo, hi) of exactly the coordinator's fleet.
-func fleetWorkerArgs(opts benchOptions, lo, hi int) []string {
-	cfg := opts.fleet
-	args := []string{
-		"-fleet-worker", strconv.Itoa(lo) + ":" + strconv.Itoa(hi),
-		"-fleet-users", strconv.Itoa(cfg.Users),
-		"-fleet-hours", strconv.FormatFloat(cfg.HoursPerUser, 'g', -1, 64),
-		"-fleet-seed", strconv.FormatInt(cfg.Seed, 10),
-	}
-	if cfg.RadioMix != "" {
-		args = append(args, "-fleet-radio-mix", cfg.RadioMix)
-	}
-	if cfg.Channel != "" {
-		args = append(args, "-fleet-channel", cfg.Channel)
-	}
-	if cfg.Policy != "" {
-		args = append(args, "-fleet-policy", cfg.Policy)
-	}
-	if opts.radio != "" {
-		args = append(args, "-radio", opts.radio)
-	}
-	if opts.parallel != 0 {
-		args = append(args, "-parallel", strconv.Itoa(opts.parallel))
-	}
-	return args
-}
-
 func runFleet(p *printer, opts benchOptions) error {
 	cfg := opts.fleet
 	if opts.timing {
@@ -826,21 +755,7 @@ func runFleet(p *printer, opts benchOptions) error {
 			}
 		}
 	}
-	var res *experiments.FleetResult
-	var err error
-	if opts.fleetProcs > 1 {
-		self, serr := os.Executable()
-		if serr != nil {
-			return fmt.Errorf("fleet: locate own binary: %w", serr)
-		}
-		res, err = experiments.FleetMultiProc(cfg, opts.fleetProcs, func(lo, hi int) (*exec.Cmd, error) {
-			cmd := exec.Command(self, fleetWorkerArgs(opts, lo, hi)...)
-			cmd.Stderr = os.Stderr
-			return cmd, nil
-		})
-	} else {
-		res, err = experiments.Fleet(cfg)
-	}
+	res, err := experiments.Fleet(cfg)
 	if err != nil {
 		return err
 	}

@@ -43,8 +43,9 @@ func run() error {
 		if mode == eabrowse.ModeOriginal {
 			origTotal = total
 		} else {
-			fmt.Printf("\nenergy saving: %.1f%% (paper: more than 30%%)\n",
-				(origTotal-total)/origTotal*100)
+			// The paper's headline figure for this saving is the claims
+			// table's fig10.headline row (internal/experiments/claims.go).
+			fmt.Printf("\nenergy saving: %.1f%%\n", (origTotal-total)/origTotal*100)
 		}
 	}
 	return nil

@@ -27,7 +27,7 @@ func TestEnergyAwareDormancyThroughRIL(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ril.New: %v", err)
 	}
-	engine, err := NewEngine(clock, radio, link, DefaultCostModel(), ModeEnergyAware, WithRIL(iface))
+	engine, err := NewEngine(clock, radio, link, DefaultCostModel(), ModeEnergyAware, WithRIL(iface), WithEventLog())
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -47,8 +47,12 @@ func TestEnergyAwareDormancyThroughRIL(t *testing.T) {
 	if radio.State() != rrc.StateIdle {
 		t.Fatalf("radio = %v, want IDLE via RIL", radio.State())
 	}
-	if iface.Served(ril.StatusOK) == 0 {
-		t.Fatal("RIL served no successful dormancy request")
+	viaRIL := false
+	for _, ev := range result.Events {
+		viaRIL = viaRIL || (ev.Kind == EventDormant && ev.Detail == "via RIL")
+	}
+	if !viaRIL {
+		t.Fatal("no dormancy confirmed by a successful RIL response")
 	}
 	if result.DormantAt == 0 {
 		t.Fatal("DormantAt not recorded through the RIL path")

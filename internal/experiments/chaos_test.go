@@ -124,8 +124,17 @@ func TestNewFaultySessionWiring(t *testing.T) {
 	if !s.Faults.Enabled() {
 		t.Fatal("injector with nonzero rates reports disabled")
 	}
-	if !s.Link.FaultsActive() {
-		t.Fatal("link does not report the injector")
+	// The link draws from the injector: a page load at a 10% failure rate
+	// retries or fails some transfer.
+	page, err := MCNNPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LoadToEnd(page); err != nil {
+		t.Fatal(err)
+	}
+	if s.Link.Retries()+s.Link.FailedTransfers() == 0 {
+		t.Fatal("link injected no transfer faults")
 	}
 	if _, err := New(browser.ModeEnergyAware, WithFaultInjector(faults.Config{FailRate: -1})); err == nil {
 		t.Fatal("invalid fault config accepted")

@@ -292,8 +292,8 @@ const fleetShards = 64
 var fleetSketchBudget = 512
 
 // FleetShardCount returns how many shards a fleet of this size replays
-// (shard indices are 0..count-1). Exposed so multi-process coordinators can
-// split the shard range across workers.
+// (shard indices are 0..count-1). Exposed so callers of RunFleetShards can
+// split the shard range.
 func FleetShardCount(cfg FleetConfig) int {
 	if cfg.Users < fleetShards {
 		return cfg.Users
@@ -386,11 +386,10 @@ func Fleet(cfg FleetConfig) (*FleetResult, error) {
 }
 
 // RunFleetShards replays shards [lo, hi) of the fleet and returns their
-// accumulators. It is the worker half of the multi-process mode: each worker
-// builds its own runtime (template cache, predictor) for its contiguous
-// shard range, and the coordinator merges the results with FleetFromShards.
-// Because each shard is a pure function of (config, shard index), the merge
-// is byte-identical to a single-process run.
+// accumulators, building its own runtime (template cache, predictor) for the
+// contiguous range. Because each shard is a pure function of (config, shard
+// index), concatenating the results of contiguous ranges and merging them
+// with FleetFromShards is byte-identical to Fleet.
 func RunFleetShards(cfg FleetConfig, lo, hi int) ([]FleetShardResult, error) {
 	rt, err := newFleetRuntime(cfg)
 	if err != nil {
@@ -537,8 +536,8 @@ func (rt *fleetRuntime) runShards(cfg FleetConfig, lo, hi int) ([]FleetShardResu
 // into the fleet result. Counters and energies fold in shard order; the
 // per-shard sketches merge in shard order into one summary per pipeline,
 // whose centroids (ascending) feed the capacity model. The merge is the same
-// whether the shards came from this process, from runner workers, or over
-// the multi-process wire — the byte-identity contract of the fleet.
+// whether the shards came from one RunFleetShards call or several — the
+// byte-identity contract of the fleet.
 func FleetFromShards(cfg FleetConfig, outs []FleetShardResult) (*FleetResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -180,5 +181,39 @@ func TestFleetShardRangeValidation(t *testing.T) {
 	}
 	if _, err := FleetFromShards(cfg, outs); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFleetShardRangesMatchFleet pins the shard contract: replaying the
+// shard range in contiguous pieces, concatenating the pieces and merging them
+// with FleetFromShards reproduces Fleet exactly, for the static UMTS fleet
+// and for an adaptive fleet on a fading channel over a mixed-RAN population.
+func TestFleetShardRangesMatchFleet(t *testing.T) {
+	for _, cfg := range []FleetConfig{
+		{Users: 300, HoursPerUser: 0.05, Seed: 20130709},
+		{Users: 200, HoursPerUser: 0.05, Seed: 20130709,
+			Policy: "adaptive", Channel: "fading", RadioMix: "umts:0.5,lte:0.3,nr:0.2"},
+	} {
+		want, err := Fleet(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := FleetShardCount(cfg)
+		const pieces = 4
+		var all []FleetShardResult
+		for p := 0; p < pieces; p++ {
+			outs, err := RunFleetShards(cfg, p*total/pieces, (p+1)*total/pieces)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, outs...)
+		}
+		got, err := FleetFromShards(cfg, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: merged shard ranges differ from Fleet:\n got %+v\nwant %+v", cfg, got, want)
+		}
 	}
 }

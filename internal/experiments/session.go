@@ -43,7 +43,7 @@ type Session struct {
 	RIL    *ril.Interface
 	Faults *faults.Injector
 	// Obs is the session's event recorder; nil unless the session was built
-	// with WithObsKey (and tracing is enabled) or WithObsRecorder.
+	// with WithObsKey (and tracing is enabled) or, in tests, WithObsRecorder.
 	Obs *obs.Recorder
 }
 
@@ -136,13 +136,6 @@ func WithEngineOptions(opts ...browser.Option) SessionOption {
 // count.
 func WithObsKey(key string) SessionOption {
 	return func(c *sessionConfig) { c.obsKey = key }
-}
-
-// WithObsRecorder attaches an explicit event recorder (typically from a
-// private obs.Collector); tests use this to trace a session without touching
-// the process-wide collector.
-func WithObsRecorder(r *obs.Recorder) SessionOption {
-	return func(c *sessionConfig) { c.obsRec = r }
 }
 
 // New builds a fresh phone — virtual clock, radio, link and a browser in the

@@ -240,11 +240,6 @@ func (l *Link) attemptDur(t *Transfer, plan faults.TransferPlan, kbps float64) t
 	return overhead + l.channel.XferDuration(now+overhead, t.bytes, kbps)
 }
 
-// FaultsActive reports whether an enabled injector is attached.
-func (l *Link) FaultsActive() bool {
-	return l.faults.Enabled()
-}
-
 // Retries returns how many transfer attempts the link aborted and retried.
 func (l *Link) Retries() int { return l.retries }
 
@@ -253,12 +248,6 @@ func (l *Link) FailedTransfers() int { return l.failed }
 
 // Config returns the link configuration.
 func (l *Link) Config() Config { return l.cfg }
-
-// Busy reports whether a transfer is in flight.
-func (l *Link) Busy() bool { return l.busy }
-
-// QueueLen returns the number of queued (not yet started) transfers.
-func (l *Link) QueueLen() int { return len(l.queue) - l.qHead }
 
 // BytesDown returns the total bytes downloaded so far.
 func (l *Link) BytesDown() int { return l.bytesDown }
@@ -300,11 +289,6 @@ func (l *Link) Send(url string, bytes int, done func()) error {
 // (wrapping ErrTransferFailed) when the link gave up after its retry budget.
 func (l *Link) FetchResult(url string, bytes int, done func(error)) error {
 	return l.enqueue(url, bytes, false, done)
-}
-
-// SendResult is Send with an error-aware completion callback.
-func (l *Link) SendResult(url string, bytes int, done func(error)) error {
-	return l.enqueue(url, bytes, true, done)
 }
 
 // adaptDone wraps a success-only callback for the error-aware queue.

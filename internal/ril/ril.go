@@ -242,18 +242,9 @@ func (r *Interface) execute(id uint64, op Op) Response {
 	return resp
 }
 
-// Served returns how many requests completed with the given status at the
-// daemon (including ones whose response was subsequently lost).
-func (r *Interface) Served(s Status) int {
-	return r.served[s]
-}
-
 // Dropped returns how many responses were lost on the way back (fault
 // injection only).
 func (r *Interface) Dropped() int { return r.dropped }
-
-// Timeouts returns how many SubmitWithTimeout deadlines expired.
-func (r *Interface) Timeouts() int { return r.timeouts }
 
 // ForceDormancyWithRetry submits a dormancy request and retries on any
 // non-OK outcome — BUSY (a transfer raced the request), ERROR (flaky

@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 	"math/bits"
 )
@@ -41,11 +39,10 @@ type Centroid struct {
 // Observe does not insert into the sorted centroids one value at a time: it
 // parks observations in a pending run in the spare capacity of the centroid
 // slice and settles the run later, in one sorted merge. Every read of the
-// centroids (Centroids, NumCentroids, Quantile, AppendBinary and both sides
-// of Merge) settles first. The settled state is bit-identical to inserting
-// each observation as it arrives, because the run never spans the
-// observation at which a one-at-a-time insert would have compressed (see
-// Observe). Reading a settled sketch writes nothing, so once a sketch has
+// centroids (Centroids, NumCentroids, Quantile and both sides of Merge)
+// settles first. The settled state is bit-identical to inserting each
+// observation as it arrives, because the run never spans the observation at
+// which a one-at-a-time insert would have compressed (see Observe). Reading a settled sketch writes nothing, so once a sketch has
 // been read or merged, concurrent readers are safe; a sketch with a pending
 // run is not safe for concurrent use.
 //
@@ -429,94 +426,4 @@ func (s *Sketch) Quantile(q float64) float64 {
 		}
 	}
 	return s.cs[len(s.cs)-1].V
-}
-
-// Wire format: everything little-endian and bit-exact, so a sketch
-// round-tripped through AppendBinary/DecodeSketch is byte-identical to the
-// original — the property the multi-process fleet protocol depends on.
-//
-//	u32 budget (two's complement)  u64 n  f64 sum  f64 errV
-//	u32 numCentroids  then per centroid: f64 V  u64 N
-
-// AppendBinary appends the sketch's exact binary encoding to b.
-func (s *Sketch) AppendBinary(b []byte) []byte {
-	s.settle()
-	b = binary.LittleEndian.AppendUint32(b, uint32(int32(s.budget)))
-	b = binary.LittleEndian.AppendUint64(b, uint64(s.n))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.sum))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.errV))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.cs)))
-	for _, c := range s.cs {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.V))
-		b = binary.LittleEndian.AppendUint64(b, uint64(c.N))
-	}
-	return b
-}
-
-// maxDecodeCentroids bounds a decoded centroid count so a corrupt length
-// field cannot drive a huge allocation.
-const maxDecodeCentroids = 1 << 22
-
-// DecodeSketch decodes one sketch from the front of b, returning it and the
-// remaining bytes. It rejects any sketch that violates the invariants
-// Observe and Merge maintain (see validate).
-func DecodeSketch(b []byte) (*Sketch, []byte, error) {
-	const header = 4 + 8 + 8 + 8 + 4
-	if len(b) < header {
-		return nil, nil, fmt.Errorf("stats: sketch truncated (%d header bytes)", len(b))
-	}
-	s := &Sketch{
-		budget: int(int32(binary.LittleEndian.Uint32(b))),
-		n:      int64(binary.LittleEndian.Uint64(b[4:])),
-		sum:    math.Float64frombits(binary.LittleEndian.Uint64(b[12:])),
-		errV:   math.Float64frombits(binary.LittleEndian.Uint64(b[20:])),
-	}
-	num := int(binary.LittleEndian.Uint32(b[28:]))
-	if num > maxDecodeCentroids {
-		return nil, nil, fmt.Errorf("stats: sketch centroid count %d exceeds limit", num)
-	}
-	b = b[header:]
-	if len(b) < num*16 {
-		return nil, nil, fmt.Errorf("stats: sketch truncated (%d centroids, %d bytes left)", num, len(b))
-	}
-	if num > 0 {
-		s.cs = make([]Centroid, num)
-		for i := range s.cs {
-			s.cs[i].V = math.Float64frombits(binary.LittleEndian.Uint64(b[i*16:]))
-			s.cs[i].N = int64(binary.LittleEndian.Uint64(b[i*16+8:]))
-		}
-	}
-	if err := s.validate(); err != nil {
-		return nil, nil, err
-	}
-	return s, b[num*16:], nil
-}
-
-// validate checks the invariants every encoded sketch satisfies: centroid
-// values finite and strictly increasing, every count positive, the header
-// count equal to their sum, and a finite, non-negative error receipt.
-// (A cluster spanning more than MaxFloat64, possible only for values near
-// ±MaxFloat64, leaves an infinite error receipt; no fleet quantity comes near
-// that range, and such a sketch is rejected too.)
-func (s *Sketch) validate() error {
-	if math.IsNaN(s.errV) || math.IsInf(s.errV, 0) || s.errV < 0 {
-		return fmt.Errorf("stats: sketch error bound %v is not finite and non-negative", s.errV)
-	}
-	var n int64
-	for i, c := range s.cs {
-		if math.IsNaN(c.V) || math.IsInf(c.V, 0) {
-			return fmt.Errorf("stats: sketch centroid %d has non-finite value %v", i, c.V)
-		}
-		if i > 0 && !(c.V > s.cs[i-1].V) {
-			return fmt.Errorf("stats: sketch centroids out of order at %d", i)
-		}
-		if c.N <= 0 || n > math.MaxInt64-c.N {
-			return fmt.Errorf("stats: sketch centroid %d has count %d (running total %d)", i, c.N, n)
-		}
-		n += c.N
-	}
-	if n != s.n {
-		return fmt.Errorf("stats: sketch header count %d, centroids hold %d", s.n, n)
-	}
-	return nil
 }

@@ -121,9 +121,27 @@ func TestSketchMergeFixedOrderDeterministic(t *testing.T) {
 		return global
 	}
 	a, b := build(), build()
-	if !reflect.DeepEqual(a.AppendBinary(nil), b.AppendBinary(nil)) {
+	if !bytes.Equal(appendSketchState(nil, a), appendSketchState(nil, b)) {
 		t.Fatal("fixed-order merge is not reproducible")
 	}
+}
+
+// appendSketchState appends a bit-exact dump of s's settled state to b:
+// budget, n, the bits of sum and errV, the centroid count, then each
+// centroid's V bits and N. Two sketches with equal dumps are
+// indistinguishable to every reader. It settles s first, as every read does.
+func appendSketchState(b []byte, s *Sketch) []byte {
+	s.settle()
+	b = binary.LittleEndian.AppendUint64(b, uint64(s.budget))
+	b = binary.LittleEndian.AppendUint64(b, uint64(s.n))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.sum))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.errV))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(s.cs)))
+	for _, c := range s.cs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.V))
+		b = binary.LittleEndian.AppendUint64(b, uint64(c.N))
+	}
+	return b
 }
 
 // TestSketchMergeAssociativeUncompressed: while every distinct value fits the
@@ -202,98 +220,6 @@ func TestSketchMergeConservesMass(t *testing.T) {
 	}
 }
 
-func TestSketchBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(31337))
-	s := NewSketch(24)
-	for i := 0; i < 1000; i++ {
-		s.Observe(rng.NormFloat64()*10+50, int64(1+rng.Intn(3)))
-	}
-	enc := s.AppendBinary(nil)
-	got, rest, err := DecodeSketch(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("decode left %d bytes", len(rest))
-	}
-	if !reflect.DeepEqual(got, s) {
-		t.Fatal("round trip changed the sketch")
-	}
-	// Re-encoding must reproduce the exact bytes.
-	if !reflect.DeepEqual(got.AppendBinary(nil), enc) {
-		t.Fatal("re-encode differs")
-	}
-	// An empty sketch round-trips too.
-	empty := NewSketch(0)
-	got2, _, err := DecodeSketch(empty.AppendBinary(nil))
-	if err != nil || got2.N() != 0 || got2.NumCentroids() != 0 {
-		t.Fatalf("empty round trip: %v %+v", err, got2)
-	}
-}
-
-func TestSketchDecodeRejectsCorrupt(t *testing.T) {
-	s := NewSketch(8)
-	s.Observe(1, 1)
-	s.Observe(2, 1)
-	enc := s.AppendBinary(nil)
-	if _, _, err := DecodeSketch(enc[:len(enc)-1]); err == nil {
-		t.Fatal("truncated payload decoded")
-	}
-	if _, _, err := DecodeSketch(enc[:3]); err == nil {
-		t.Fatal("truncated header decoded")
-	}
-	// Swap the two centroids' values to break the order invariant.
-	bad := append([]byte(nil), enc...)
-	copy(bad[32:40], enc[48:56])
-	copy(bad[48:56], enc[32:40])
-	if _, _, err := DecodeSketch(bad); err == nil {
-		t.Fatal("out-of-order centroids decoded")
-	}
-}
-
-// rawSketch encodes arbitrary header and centroid fields in the wire
-// format, including combinations AppendBinary never writes.
-func rawSketch(n int64, errV float64, cs ...Centroid) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, 8)
-	b = binary.LittleEndian.AppendUint64(b, uint64(n))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(errV))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(cs)))
-	for _, c := range cs {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.V))
-		b = binary.LittleEndian.AppendUint64(b, uint64(c.N))
-	}
-	return b
-}
-
-func TestSketchDecodeRejectsInvariantViolations(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	for _, tc := range []struct {
-		name string
-		enc  []byte
-	}{
-		{"zero count", rawSketch(3, 0, Centroid{1, 0}, Centroid{2, 3})},
-		{"negative count", rawSketch(1, 0, Centroid{1, 2}, Centroid{2, -1})},
-		{"header n above sum", rawSketch(5, 0, Centroid{1, 2}, Centroid{2, 2})},
-		{"header n below sum", rawSketch(3, 0, Centroid{1, 2}, Centroid{2, 2})},
-		{"header n without centroids", rawSketch(1, 0)},
-		{"count sum overflows", rawSketch(math.MinInt64, 0, Centroid{1, math.MaxInt64}, Centroid{2, 1})},
-		{"lone NaN centroid", rawSketch(1, 0, Centroid{nan, 1})},
-		{"infinite centroid", rawSketch(2, 0, Centroid{1, 1}, Centroid{inf, 1})},
-		{"NaN error bound", rawSketch(1, nan, Centroid{1, 1})},
-		{"infinite error bound", rawSketch(1, inf, Centroid{1, 1})},
-		{"negative error bound", rawSketch(1, -0.5, Centroid{1, 1})},
-	} {
-		if s, _, err := DecodeSketch(tc.enc); err == nil {
-			t.Errorf("%s: decoded %+v, want an error", tc.name, s)
-		}
-	}
-	// The same helper produces an acceptable sketch when the fields agree.
-	if _, _, err := DecodeSketch(rawSketch(4, 0.25, Centroid{1, 2}, Centroid{2, 2})); err != nil {
-		t.Fatalf("valid raw sketch rejected: %v", err)
-	}
-}
-
 func TestSketchIgnoresInvalidObservations(t *testing.T) {
 	s := NewSketch(8)
 	s.Observe(math.NaN(), 1)
@@ -303,56 +229,6 @@ func TestSketchIgnoresInvalidObservations(t *testing.T) {
 	if s.N() != 0 || s.NumCentroids() != 0 {
 		t.Fatalf("invalid observations were recorded: %+v", s)
 	}
-}
-
-// FuzzDecodeSketch feeds arbitrary bytes to the decoder the multi-process
-// fleet reads worker output through. Whatever it accepts must re-encode to
-// exactly the bytes it consumed, hold every invariant an encoder keeps, and
-// survive merging and quantile queries.
-func FuzzDecodeSketch(f *testing.F) {
-	rng := rand.New(rand.NewSource(7))
-	exact, compressed, merged := NewSketch(0), NewSketch(8), NewSketch(4)
-	for i := 0; i < 200; i++ {
-		exact.Observe(float64(rng.Intn(20)), 1)
-		compressed.Observe(rng.ExpFloat64()*3, int64(1+rng.Intn(4)))
-	}
-	merged.Merge(exact)
-	merged.Merge(compressed)
-	for _, s := range []*Sketch{NewSketch(0), exact, compressed, merged} {
-		f.Add(s.AppendBinary(nil))
-	}
-	f.Add(append(compressed.AppendBinary(nil), 1, 2, 3))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		s, rest, err := DecodeSketch(b)
-		if err != nil {
-			return
-		}
-		if enc := s.AppendBinary(nil); !bytes.Equal(enc, b[:len(b)-len(rest)]) {
-			t.Fatalf("re-encode differs from the %d consumed bytes", len(b)-len(rest))
-		}
-		if e := s.ErrorBound(); math.IsNaN(e) || math.IsInf(e, 0) || e < 0 {
-			t.Fatalf("error bound %v accepted", e)
-		}
-		var n int64
-		for i, c := range s.Centroids() {
-			if math.IsNaN(c.V) || math.IsInf(c.V, 0) || c.N <= 0 || (i > 0 && !(c.V > s.Centroids()[i-1].V)) {
-				t.Fatalf("centroid %d %+v accepted", i, c)
-			}
-			n += c.N
-		}
-		if n != s.N() {
-			t.Fatalf("header count %d, centroids hold %d", s.N(), n)
-		}
-		for _, budget := range []int{0, 3} {
-			m := NewSketch(budget)
-			m.Merge(s)
-			m.Merge(s)
-			if m.N() != 2*s.N() {
-				t.Fatalf("budget %d: merged count %d, want %d", budget, m.N(), 2*s.N())
-			}
-			_ = m.Quantile(0.5)
-		}
-	})
 }
 
 // insertObserve is Observe as one sorted insert per call — the path Observe
@@ -457,12 +333,12 @@ func fuzzValue(a, b byte) float64 {
 type sketchPair struct{ got, want *Sketch }
 
 // checkSketchesAgree fails unless got and want are indistinguishable to
-// every reader: encoding bytes, Sum, ErrorBound and a grid of quantiles,
-// all compared bit for bit.
+// every reader: the full state dump, Sum, ErrorBound and a grid of
+// quantiles, all compared bit for bit.
 func checkSketchesAgree(t *testing.T, step int, p sketchPair) {
 	t.Helper()
-	if g, w := p.got.AppendBinary(nil), p.want.AppendBinary(nil); !bytes.Equal(g, w) {
-		t.Fatalf("step %d: encodings differ\n got %x\nwant %x", step, g, w)
+	if g, w := appendSketchState(nil, p.got), appendSketchState(nil, p.want); !bytes.Equal(g, w) {
+		t.Fatalf("step %d: states differ\n got %x\nwant %x", step, g, w)
 	}
 	if g, w := math.Float64bits(p.got.Sum()), math.Float64bits(p.want.Sum()); g != w {
 		t.Fatalf("step %d: Sum %v, oracle %v", step, p.got.Sum(), p.want.Sum())
@@ -481,7 +357,7 @@ func checkSketchesAgree(t *testing.T, step int, p sketchPair) {
 // (budgets 0..64 from the first two bytes) and requires Observe's settled
 // batches to match the one-at-a-time oracle after every read and at the end.
 // Ops: observe (with n = 1 or, with bit 3 set, 1..5) into either pair; a
-// mid-stream Quantile, Centroids or AppendBinary read; a merge of the second
+// mid-stream Quantile, Centroids or state-dump read; a merge of the second
 // pair into the first, after which the second starts afresh (so counts grow
 // linearly, never doubling through repeated cross-merges).
 func sketchMatchesInsert(t *testing.T, data []byte) {
@@ -641,7 +517,7 @@ func TestSketchConcurrentReadsAfterMerge(t *testing.T) {
 				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(global.Quantile(q)))
 			}
 			b = binary.LittleEndian.AppendUint64(b, uint64(global.NumCentroids()))
-			encs[g] = global.AppendBinary(b)
+			encs[g] = appendSketchState(b, global)
 		}()
 	}
 	wg.Wait()
