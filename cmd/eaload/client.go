@@ -86,8 +86,8 @@ func (hc *httpConn) roundTrip(timeout time.Duration) (status int, closeAfter boo
 }
 
 // readResponse parses one HTTP/1.1 response head and discards the body.
-// Only Content-Length framing is supported — easerd always answers small
-// fully-buffered bodies, which net/http frames with Content-Length.
+// Only Content-Length framing is supported — easerd's connection loop
+// frames every answer with Content-Length.
 func readResponse(br *bufio.Reader) (status int, closeAfter bool, err error) {
 	line, err := br.ReadSlice('\n')
 	if err != nil {

@@ -109,14 +109,15 @@ func (s *Server) writeWorkError(w http.ResponseWriter, err error) {
 }
 
 // requestCtx derives the per-request deadline: the server default, shortened
-// (never extended) by an X-Request-Timeout-Ms header.
+// (never extended) by an X-Request-Timeout-Ms header. The header is compared
+// in whole milliseconds before it becomes a Duration, so a value too large
+// for one cannot wrap around into a shorter deadline.
 func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	timeout := s.cfg.RequestTimeout
 	if h := r.Header.Get("X-Request-Timeout-Ms"); h != "" {
-		if ms, err := strconv.Atoi(h); err == nil && ms > 0 {
-			if d := time.Duration(ms) * time.Millisecond; d < timeout {
-				timeout = d
-			}
+		// ms milliseconds is shorter than timeout iff ms ≤ ⌈timeout/1ms⌉ − 1.
+		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 && ms <= int64((timeout-1)/time.Millisecond) {
+			timeout = time.Duration(ms) * time.Millisecond
 		}
 	}
 	return context.WithTimeout(r.Context(), timeout)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"eabrowse/internal/features"
@@ -109,16 +108,10 @@ func decodeBodyBytes(w http.ResponseWriter, body []byte, v any) bool {
 }
 
 // writeFast sends a prebuilt JSON body on the 200 path without allocating:
-// the Content-Type header value is shared, and bodies that fit net/http's
-// 2 KiB write buffer get their Content-Length computed by net/http for
-// free. Only oversized (large-batch) responses pay for an explicit header,
-// which keeps them framed with Content-Length instead of chunked encoding.
+// the Content-Type header value is shared. The connection loop buffers the
+// whole answer and frames it with Content-Length, whatever its size.
 func writeFast(w http.ResponseWriter, body []byte) {
-	h := w.Header()
-	h["Content-Type"] = jsonCTValue
-	if len(body) > 2048 {
-		h.Set("Content-Length", strconv.Itoa(len(body)))
-	}
+	w.Header()["Content-Type"] = jsonCTValue
 	_, _ = w.Write(body)
 }
 

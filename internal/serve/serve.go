@@ -31,8 +31,9 @@
 //     it; a bad file leaves the old model serving (rollback is the default,
 //     not a recovery step). Requests snapshot the pointer once, so none ever
 //     observes a partially swapped model.
-//   - Graceful shutdown. Stop accepting, drain in-flight requests, then
-//     stop the workers; /readyz flips to 503 first so load balancers move on.
+//   - Graceful shutdown. Stop accepting, close idle connections, drain
+//     in-flight requests, then stop the workers; /readyz flips to 503 first
+//     so load balancers move on.
 //
 // Health and introspection: /healthz (process up), /readyz (model loaded and
 // accepting), /metrics (obs counters/histograms plus queue depth, in-flight
@@ -118,7 +119,8 @@ type job struct {
 }
 
 // Server is the resident service. Build with New, bring up with Start, stop
-// with Shutdown.
+// with Shutdown. Its listener is served by the connection loop in conn.go;
+// Handler() is the one route table, for the loop and in-process callers.
 type Server struct {
 	cfg   Config
 	model modelHolder
@@ -128,8 +130,17 @@ type Server struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	ln      net.Listener
-	httpSrv *http.Server
+	// The listener and the connection loop serving it (conn.go): handler
+	// is Handler(), built once; conns are the open connections, which
+	// Shutdown closes when idle; connWG counts them and the accept loop.
+	ln            net.Listener
+	handler       http.Handler
+	headerTimeout time.Duration
+	connMu        sync.Mutex
+	conns         map[*conn]struct{}
+	connWG        sync.WaitGroup
+	shutdownOnce  sync.Once
+	drained       chan struct{}
 
 	accepting atomic.Bool
 	started   atomic.Bool
@@ -190,10 +201,10 @@ func New(cfg Config) (*Server, error) {
 			s.pools[poolKey{mode, radio}] = experiments.NewSessionPool(mode, experiments.WithRadioModel(spec))
 		}
 	}
-	s.httpSrv = &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	s.handler = s.Handler()
+	s.headerTimeout = headerTimeout
+	s.conns = make(map[*conn]struct{})
+	s.drained = make(chan struct{})
 	return s, nil
 }
 
@@ -207,9 +218,9 @@ func nextPow2(n int) int {
 }
 
 // Start loads the configured model (retrying transient I/O), binds the
-// listener (retrying a busy address), and begins serving. It returns once
-// the service is accepting; serving continues in the background until
-// Shutdown.
+// listener (retrying a busy address), and begins serving it with the
+// connection loop, one goroutine per connection. It returns once the
+// service is accepting; serving continues in the background until Shutdown.
 func (s *Server) Start(ctx context.Context) error {
 	if s.started.Swap(true) {
 		return errors.New("serve: already started")
@@ -246,12 +257,54 @@ func (s *Server) Start(ctx context.Context) error {
 	}
 	s.startedAt = time.Now()
 	s.accepting.Store(true)
-	go func() {
-		// ErrServerClosed is the normal Shutdown path; anything else would
-		// surface through failing requests and /healthz probes.
-		_ = s.httpSrv.Serve(s.ln)
-	}()
+	s.connWG.Add(1)
+	go s.acceptLoop()
 	return nil
+}
+
+// acceptLoop hands each accepted connection to its own goroutine running
+// the connection loop, until Shutdown closes the listener.
+func (s *Server) acceptLoop() {
+	defer s.connWG.Done()
+	var backoff time.Duration
+	for {
+		nc, err := s.ln.Accept()
+		if err != nil {
+			if !s.accepting.Load() || errors.Is(err, net.ErrClosed) {
+				return
+			}
+			// Out of file descriptors and the like: back off and retry, as
+			// net/http does.
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			time.Sleep(backoff)
+			continue
+		}
+		backoff = 0
+		c := s.newConn(nc, s.handler)
+		s.connMu.Lock()
+		s.conns[c] = struct{}{}
+		s.connWG.Add(1)
+		s.connMu.Unlock()
+		go func() {
+			defer s.connWG.Done()
+			c.serve()
+			s.connMu.Lock()
+			delete(s.conns, c)
+			s.connMu.Unlock()
+		}()
+	}
+}
+
+// closeConns closes the idle connections, or with all set every one.
+func (s *Server) closeConns(all bool) {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	for c := range s.conns {
+		if c.state.CompareAndSwap(connIdle, connClosed) || all {
+			c.state.Store(connClosed)
+			_ = c.nc.Close()
+		}
+	}
 }
 
 // isAddrError reports a structurally bad listen address (vs a transiently
@@ -294,19 +347,32 @@ func (s *Server) Ready() bool {
 }
 
 // Shutdown stops the service gracefully: readiness flips first (load
-// balancers drain), the HTTP server stops accepting and waits for in-flight
-// requests up to ctx, then the workers finish whatever is still queued and
-// exit. The obs collector's final snapshot remains readable via
-// MetricsSnapshot/WriteMetrics after Shutdown returns.
-// Shutdown is idempotent: later calls wait for the same drain.
+// balancers drain), the listener closes, idle connections close at once,
+// and each request in flight finishes and is answered with Connection:
+// close. Shutdown waits for those up to ctx; if ctx ends first it closes
+// the stragglers' connections and returns ctx's error. Then the workers
+// finish whatever is still queued and exit. The obs collector's final
+// snapshot remains readable via MetricsSnapshot/WriteMetrics after Shutdown
+// returns. Shutdown is idempotent: later calls wait for the same drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.accepting.Store(false)
+	s.shutdownOnce.Do(func() {
+		if s.ln != nil {
+			_ = s.ln.Close()
+		}
+		s.closeConns(false)
+		go func() {
+			s.connWG.Wait()
+			close(s.drained)
+		}()
+	})
 	var err error
-	if s.httpSrv != nil {
-		err = s.httpSrv.Shutdown(ctx)
+	select {
+	case <-s.drained:
+	case <-ctx.Done():
+		err = ctx.Err()
+		s.closeConns(true)
 	}
-	// All connections are done (or ctx expired and stragglers will be cut
-	// off); tell the workers to drain the queue and exit.
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.wg.Wait()
 	return err

@@ -492,6 +492,41 @@ func TestRequestDeadline(t *testing.T) {
 	waitFor(t, "queue drained", func() bool { return len(s.queue) == 0 })
 }
 
+// TestRequestTimeoutHeader checks X-Request-Timeout-Ms only ever shortens
+// the deadline: a value too large for a time.Duration (≈9.22e12 ms and up)
+// leaves the server default instead of wrapping around into a negative or
+// tiny deadline.
+func TestRequestTimeoutHeader(t *testing.T) {
+	s, err := New(Config{RequestTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		header string
+		want   time.Duration
+	}{
+		{"50", 50 * time.Millisecond},
+		{"4999", 4999 * time.Millisecond},
+		{"5000", 5 * time.Second},
+		{"9300000000000", 5 * time.Second},  // ×1e6 ns overflows int64 to a negative deadline
+		{"18446744073710", 5 * time.Second}, // ×1e6 ns wraps around to 448 µs
+		{"99999999999999999999", 5 * time.Second},
+		{"0", 5 * time.Second},
+		{"-50", 5 * time.Second},
+		{"soon", 5 * time.Second},
+	} {
+		req, _ := http.NewRequest(http.MethodPost, "/v1/simulate", nil)
+		req.Header.Set("X-Request-Timeout-Ms", tc.header)
+		before := time.Now()
+		ctx, cancel := s.requestCtx(req)
+		deadline, ok := ctx.Deadline()
+		cancel()
+		if got := deadline.Sub(before); !ok || got < tc.want || got > tc.want+time.Second {
+			t.Errorf("X-Request-Timeout-Ms %s: deadline in %v, want %v", tc.header, got, tc.want)
+		}
+	}
+}
+
 // TestPanicRecovery checks a panicking request fails alone — counted, turned
 // into an error, worker and process intact.
 func TestPanicRecovery(t *testing.T) {
