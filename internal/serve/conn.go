@@ -26,8 +26,11 @@ import (
 // background read goroutine on every keep-alive connection; at steady state
 // the loop allocates nothing (TestConnLoopZeroAllocs).
 //
-// The subset it serves, and what it refuses (the status net/http's server
-// would use, then the connection closes):
+// The subset it serves, and what it refuses and with which status, after
+// which the connection closes. Where net/http's server refuses the same
+// input, the status is the same; folded headers, CONNECT, Content-Length
+// with chunked, a Trailer declaration and Transfer-Encoding on HTTP/1.0
+// are refused where net/http would serve them.
 //
 //   - HTTP/1.1 and HTTP/1.0 (keep-alive when asked), pipelined requests,
 //     origin-form and absolute-form targets with query strings and
@@ -39,7 +42,8 @@ import (
 //   - HEAD answers with the GET response's headers and no body.
 //   - 400: a malformed request line, header line or Content-Length, a
 //     header folded over two lines, HTTP/1.1 without exactly one valid Host,
-//     Content-Length together with chunked, a Trailer declaration.
+//     Content-Length together with chunked, a Trailer declaration on a
+//     chunked body.
 //   - 417: an Expect other than 100-continue. 431: a head over
 //     maxHeaderBytes. 501: CONNECT, a Transfer-Encoding other than chunked
 //     (on HTTP/1.0 too). 505: an HTTP major version other than 1.
@@ -744,7 +748,7 @@ func (c *conn) readTrailer() error {
 			return io.EOF
 		}
 		continued := line[0] == ' ' || line[0] == '\t'
-		line = bytes.Trim(line, " \t\r\n")
+		line = trimOWS(line)
 		if continued {
 			// A folded continuation of the previous field.
 			if first || !validValue(line) {
